@@ -54,7 +54,9 @@ def structure_from_doc(doc: dict) -> Structure:
             name: [tuple(t) for t in ts] for name, ts in doc.get("relations", {}).items()
         }
         return Structure(sig, domain, relations)
-    except (KeyError, TypeError) as exc:
+    except StructureError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed structure document: {exc}") from None
 
 
@@ -75,7 +77,9 @@ def diagram_from_doc(doc: dict) -> Diagram:
         right = structure_from_doc(doc["right"])
         left_emb = ElementMap(base.domain, left.domain, doc["leftEmb"])
         right_emb = ElementMap(base.domain, right.domain, doc["rightEmb"])
-    except (KeyError, TypeError) as exc:
+    except StructureError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed diagram document: {exc}") from None
     return Diagram(base, left, right, left_emb, right_emb)
 
@@ -241,13 +245,17 @@ def _cmd_hom(args) -> int:
 def _cmd_consist(args) -> int:
     instance = load_structure(args.instance)
     template = load_structure(args.template)
-    if consistency.is_consistent(instance, template, args.k, args.l):
+    if args.trace:
+        # one fixpoint: the trace is None exactly when the instance is consistent
+        trace = consistency.spoiler_trace(instance, template, args.k, args.l)
+        consistent = trace is None
+        if not consistent:
+            _write(args.trace, dump_canonical(_trace_to_doc(trace.root)))
+    else:
+        consistent = consistency.is_consistent(instance, template, args.k, args.l)
+    if consistent:
         sys.stdout.write("consistent\n")
         return EXIT_OK
-    if args.trace:
-        trace = consistency.spoiler_trace(instance, template, args.k, args.l)
-        assert trace is not None
-        _write(args.trace, dump_canonical(_trace_to_doc(trace.root)))
     sys.stdout.write("inconsistent\n")
     return EXIT_FAIL
 
@@ -329,6 +337,20 @@ def _cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; the CPU count where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finstruct",
@@ -369,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     confuse.add_argument("--samples", type=int, default=0)
     confuse.add_argument("--seed", type=int, default=0)
     confuse.add_argument("--class", dest="cls", required=True, help="fn | g | lineq:<k>,<l>,<group>")
-    confuse.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    confuse.add_argument("--jobs", type=_positive_int, default=_usable_cpus())
     confuse.set_defaults(func=_cmd_confuse)
 
     bounds_p = sub.add_parser("bounds", help="threshold condition arithmetic")

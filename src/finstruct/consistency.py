@@ -5,17 +5,21 @@ the set of surviving assignments into the template.  Starting from all
 partial homomorphisms, assignments are deleted when a restriction dies or
 when a required extension to some superset disappears; the fixpoint family
 is empty exactly when the empty assignment is deleted.  The deletion order
-is deterministic and the recorded sequence drives the extraction of a
-spoiler strategy tree for inconsistent instances.
+is deterministic and the recorded deletion reasons drive the extraction of
+a spoiler strategy tree for inconsistent instances.
 
-Assignments are packed into integers (one base-|B| digit per subset
-position) to keep the fixpoint loop cheap.
+Each subset's surviving assignments are one bit set: an assignment packs
+into an integer with one base-|B| digit per subset position, and is present
+while that bit of the subset's table is set.  Support checks, restriction
+closure and the duplicator's replies in a trace are then ANDs with
+precomputed extension masks.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, product
+from operator import mul
 from typing import Optional, Sequence
 
 from . import morphisms
@@ -120,7 +124,31 @@ def _validate_args(a: Structure, b: Structure, k: int, l: int) -> None:
 
 
 class _Fixpoint:
-    """Shared machinery for kl_family and spoiler_trace."""
+    """Shared machinery for kl_family, is_consistent and spoiler_trace.
+
+    Subsets of the instance domain with at most l elements are numbered by
+    size, then lexicographically; ``subset_elems`` and ``subset_id`` map
+    between numbers and sorted element-index tuples.  An assignment on a
+    subset is packed into an int, one base-|B| digit per subset position
+    (position r weighs base**r).  Each subset's table is one int whose bit h
+    is set while packed assignment h survives.  ``max_entries`` caps the
+    initial entries, counted while the tables are built; the tables
+    themselves take (number of subsets) x base**l bits, up to twice that
+    when spoiler_trace keeps the tables from before the fixpoint.
+
+    ``_masks(size, positions)`` describes a subset X seen through its
+    positions inside a size-element subset Y.  The mask of h, every
+    assignment on Y whose digits at ``positions`` spell h, is
+    ``free << stems[h]``: ``free`` has a bit for each assignment of the other
+    digits (with these digits 0) and ``stems[h]`` writes h's digits into
+    ``positions``, so the two never carry into each other.  ``proj[g]`` is
+    the digits of g at ``positions``, packed.  Masks range over all base
+    values of the free digits, and a table only ever holds candidate values,
+    so ``table[Y] & free << stems[h]`` is exactly the set of surviving
+    extensions of h to Y, and h has support in Y iff it is nonzero.  A
+    pattern costs base**size bits and at most 2 x base**size list entries,
+    and a size has at most 2**size patterns.
+    """
 
     def __init__(self, a: Structure, b: Structure, k: int, l: int, max_entries: int):
         _validate_args(a, b, k, l)
@@ -131,12 +159,10 @@ class _Fixpoint:
         self.a_ids = a.domain
         self.b_ids = b.domain
         self.base = max(len(self.b_ids), 1)
-        self.powers = [self.base**r for r in range(l + 1)]
+        self.mask_memo: dict[tuple[int, tuple[int, ...]], tuple[int, list[int], list[int]]] = {}
         self._candidates()
         self._subsets(max_entries)
-        self._pairs()
-        self.sequence: list[tuple[int, int, tuple]] = []
-        self.deleted: dict[tuple[int, int], int] = {}
+        self.reasons: dict[tuple[int, int], tuple] = {}
 
     # -- construction -------------------------------------------------
 
@@ -153,8 +179,6 @@ class _Fixpoint:
             for (x,) in ts:
                 cand[pos[x]] = [j for j in cand[pos[x]] if j in allowed]
         self.cand = cand
-        self.a_pos = pos
-        self.b_pos = b_pos
         # constraint tuples as (relation index set, element-index tuple)
         self.rel_sets: dict[str, frozenset[tuple[int, ...]]] = {}
         self.tuples_by_elem: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in self.a_ids]
@@ -169,8 +193,8 @@ class _Fixpoint:
                 for i in set(idx):
                     self.tuples_by_elem[i].append((name, idx))
 
-    def _subset_assignments(self, elems: tuple[int, ...]) -> tuple[set[int], list]:
-        """Initial assignments for one subset, packed, plus its constraints."""
+    def _initial_table(self, elems: tuple[int, ...]) -> int:
+        """The partial homomorphisms on one subset, as a bit set."""
         elem_set = set(elems)
         index_of = {e: i for i, e in enumerate(elems)}
         constraints: list[tuple[frozenset, tuple[int, ...]]] = []
@@ -181,180 +205,119 @@ class _Fixpoint:
                     continue
                 seen.add((name, idx))
                 constraints.append((self.rel_sets[name], tuple(index_of[i] for i in idx)))
-        table: set[int] = set()
-        powers = self.powers
+        table = 0
+        powers = [self.base**r for r in range(len(elems))]
         for values in product(*(self.cand[e] for e in elems)):
-            ok = True
             for rel, positions in constraints:
-                if tuple(values[p] for p in positions) not in rel:
-                    ok = False
+                if tuple(map(values.__getitem__, positions)) not in rel:
                     break
-            if ok:
-                table.add(sum(v * powers[r] for r, v in enumerate(values)))
-        return table, constraints
+            else:
+                table |= 1 << sum(map(mul, values, powers))
+        return table
 
     def _subsets(self, max_entries: int) -> None:
         n = len(self.a_ids)
-        top = min(self.l, n)
+        self.top = min(self.l, n)
         self.subset_elems: list[tuple[int, ...]] = []
         self.subset_id: dict[tuple[int, ...], int] = {}
-        for size in range(top + 1):
+        for size in range(self.top + 1):
             for elems in combinations(range(n), size):
                 self.subset_id[elems] = len(self.subset_elems)
                 self.subset_elems.append(elems)
-        self.table: list[set[int]] = []
-        self.constraints: list[list] = []
+        self.table: list[int] = []
         entries = 0
         for elems in self.subset_elems:
-            assignments, constraints = self._subset_assignments(elems)
-            entries += len(assignments)
+            self.table.append(self._initial_table(elems))
+            entries += self.table[-1].bit_count()
             if entries > max_entries:
                 raise BudgetExceeded(
                     f"consistency table exceeds {max_entries} entries; raise the cap to proceed"
                 )
-            self.table.append(assignments)
-            self.constraints.append(constraints)
 
-    def _pairs(self) -> None:
-        """Superset/subset navigation with packed-extension addend lists."""
-        n = len(self.a_ids)
-        top = min(self.l, n)
-        powers = self.powers
-        count = len(self.subset_elems)
-        # immediate supersets: for X of size < top, (Y_id, fixed_factors, addends)
-        self.immediate_sups: list[list[tuple[int, tuple[int, ...], list[int]]]] = [
-            [] for _ in range(count)
-        ]
-        # projections with |X| <= k: per Y, (X_id, proj_powers, fixed_factors, addend_lists)
-        self.subs_k: list[list[tuple[int, tuple[int, ...], tuple[int, ...], list[list[int]]]]] = [
-            [] for _ in range(count)
-        ]
-        # the same pairs keyed by X, sharing the navigation tuples
-        self.sup_pairs: list[list[tuple[int, tuple[int, ...], list[list[int]]]]] = [
-            [] for _ in range(count)
-        ]
-        for y_id, y_elems in enumerate(self.subset_elems):
-            size = len(y_elems)
-            if size == 0:
-                continue
-            y_pos = {e: p for p, e in enumerate(y_elems)}
-            for sub_size in range(min(self.k, size - 1) + 1):
-                for x_elems in combinations(y_elems, sub_size):
-                    x_id = self.subset_id[x_elems]
-                    proj = tuple(powers[y_pos[e]] for e in x_elems)
-                    x_set = set(x_elems)
-                    addends = [
-                        [v * powers[y_pos[e]] for v in self.cand[e]]
-                        for e in y_elems
-                        if e not in x_set
-                    ]
-                    self.subs_k[y_id].append((x_id, proj, proj, addends))
-                    self.sup_pairs[x_id].append((y_id, proj, addends))
-                    if size == sub_size + 1:
-                        self.immediate_sups[x_id].append((y_id, proj, addends[0]))
-        for x_id, x_elems in enumerate(self.subset_elems):
-            if self.k < len(x_elems) < top:
-                x_set = set(x_elems)
-                for e in range(n):
-                    if e in x_set:
-                        continue
-                    y_elems = tuple(sorted(x_elems + (e,)))
-                    y_id = self.subset_id[y_elems]
-                    y_pos = {el: p for p, el in enumerate(y_elems)}
-                    fixed = tuple(powers[y_pos[el]] for el in x_elems)
-                    addends = [v * powers[y_pos[e]] for v in self.cand[e]]
-                    self.immediate_sups[x_id].append((y_id, fixed, addends))
+    def _masks(self, size: int, positions: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
+        """``(free, stems, proj)`` for ascending positions in a size-element subset."""
+        key = (size, positions)
+        found = self.mask_memo.get(key)
+        if found is None:
+            base = self.base
+            free, stems, proj = 1, [0], [0]
+            for p in range(size):
+                digit = [d * base**p for d in range(base)]
+                if p in positions:
+                    weight = base ** positions.index(p)
+                    stems = [s + v for v in digit for s in stems]
+                    proj = [h + d * weight for d in range(base) for h in proj]
+                else:
+                    free = sum(free << v for v in digit)
+                    proj = [h for _ in digit for h in proj]
+            found = self.mask_memo[key] = (free, stems, proj)
+        return found
 
-    # -- packed-value helpers ------------------------------------------
+    def _supersets(self, x: tuple[int, ...], top: int):
+        """``(id, free, stems)`` of every superset of x with at most top
+        elements, with the masks of x's positions in it.
 
-    def _rebase(self, h: int, factors: tuple[int, ...]) -> int:
-        """Re-scatter the digits of ``h`` onto the given position factors."""
-        base = self.base
-        out = 0
-        for fac in factors:
-            out += (h % base) * fac
-            h //= base
-        return out
-
-    def _project(self, g: int, proj: tuple[int, ...]) -> int:
-        base = self.base
-        out = 0
-        p = 1
-        for fac in proj:
-            out += ((g // fac) % base) * p
-            p *= base
-        return out
-
-    def _has_support(self, h: int, fixed: tuple[int, ...], addends: list[list[int]], y_id: int) -> bool:
-        entries = self.table[y_id]
-        if not entries:
-            return False
-        if not addends:
-            return self._rebase(h, fixed) in entries
-        stem = self._rebase(h, fixed)
-        if len(addends) == 1:
-            for u in addends[0]:
-                if stem + u in entries:
-                    return True
-            return False
-        if len(addends) == 2:
-            first, second = addends
-            for u in first:
-                su = stem + u
-                for w in second:
-                    if su + w in entries:
-                        return True
-            return False
-        return self._support_rec(stem, addends, 0, entries)
-
-    def _support_rec(self, stem: int, addends, depth: int, entries) -> bool:
-        if depth == len(addends):
-            return stem in entries
-        for u in addends[depth]:
-            if self._support_rec(stem + u, addends, depth + 1, entries):
-                return True
-        return False
+        Supersets come in id order: by size, and within a size x joined with
+        lexicographically ordered extras is lexicographically ordered, since
+        two such sets first differ where their extras do.
+        """
+        rest = [e for e in range(len(self.a_ids)) if e not in x]
+        for extra_size in range(1, top - len(x) + 1):
+            for extra in combinations(rest, extra_size):
+                y = tuple(sorted(x + extra))
+                free, stems, _ = self._masks(len(y), tuple(map(y.index, x)))
+                yield self.subset_id[y], free, stems
 
     # -- the fixpoint ---------------------------------------------------
 
     def run(self) -> bool:
         """Delete to fixpoint; True iff the family stays nonempty."""
+        table = self.table
+        subset_elems, subset_id = self.subset_elems, self.subset_id
         queue: deque[tuple[int, int]] = deque()
 
         def delete(s_id: int, h: int, reason: tuple) -> None:
-            self.table[s_id].discard(h)
-            self.deleted[(s_id, h)] = len(self.sequence)
-            self.sequence.append((s_id, h, reason))
+            table[s_id] ^= 1 << h
+            self.reasons[(s_id, h)] = reason
             queue.append((s_id, h))
 
-        empty_id = self.subset_id[()]
         # initial extension-support pass over assignments of size <= k
-        for x_id, x_elems in enumerate(self.subset_elems):
+        for x_id, x_elems in enumerate(subset_elems):
             if len(x_elems) > self.k:
-                continue
-            for h in sorted(self.table[x_id]):
-                for (y_id, fixed, addends) in self.sup_pairs[x_id]:
-                    if not self._has_support(h, fixed, addends, y_id):
+                break
+            sups = list(self._supersets(x_elems, self.top))
+            for h in _bits(table[x_id]):
+                for y_id, free, stems in sups:
+                    if not table[y_id] & free << stems[h]:
                         delete(x_id, h, ("unsupported", y_id))
                         break
-        while queue and (empty_id, 0) not in self.deleted:
+        # per subset size: the positions of its proper subsets of at most k elements
+        downs = [
+            [
+                (positions, *self._masks(size, positions))
+                for sub_size in range(min(self.k, size - 1) + 1)
+                for positions in combinations(range(size), sub_size)
+            ]
+            for size in range(self.top + 1)
+        ]
+        # subset 0 is the empty one; its table is 1 until the empty assignment dies
+        while queue and table[0]:
             y_id, g = queue.popleft()
+            y_elems = subset_elems[y_id]
+            size = len(y_elems)
             # restriction closure: extensions of g on immediate supersets die
-            for (z_id, fixed, addends) in self.immediate_sups[y_id]:
-                entries = self.table[z_id]
-                if not entries:
-                    continue
-                stem = self._rebase(g, fixed)
-                for u in addends:
-                    ext = stem + u
-                    if ext in entries:
+            if size < self.top:
+                for z_id, free, stems in self._supersets(y_elems, size + 1):
+                    for ext in _bits(table[z_id] & free << stems[g]):
                         delete(z_id, ext, ("restriction", y_id, g))
             # extension support: small projections of g may have lost their witness
-            for (x_id, proj, fixed, addends) in self.subs_k[y_id]:
-                h = self._project(g, proj)
-                if h in self.table[x_id] and not self._has_support(h, fixed, addends, y_id):
-                    delete(x_id, h, ("unsupported", y_id))
-        return (empty_id, 0) not in self.deleted
+            for positions, free, stems, proj in downs[size]:
+                h = proj[g]
+                if not table[y_id] & free << stems[h]:
+                    x_id = subset_id[tuple(map(y_elems.__getitem__, positions))]
+                    if table[x_id] >> h & 1:
+                        delete(x_id, h, ("unsupported", y_id))
+        return bool(table[0])
 
     # -- decoding --------------------------------------------------------
 
@@ -371,71 +334,32 @@ class _Fixpoint:
         table: dict[tuple[str, ...], frozenset[tuple[str, ...]]] = {}
         for s_id, elems in enumerate(self.subset_elems):
             key = tuple(self.a_ids[e] for e in elems)
-            decoded = []
-            for h in self.table[s_id]:
-                _, values = self.decode(s_id, h)
-                decoded.append(values)
-            table[key] = frozenset(decoded)
+            table[key] = frozenset(self.decode(s_id, h)[1] for h in _bits(self.table[s_id]))
         return ConsistencyFamily(self.a, self.b, self.k, self.l, table)
 
     # -- trace extraction --------------------------------------------------
 
-    def replies(self, y_id: int, h: int, fixed: tuple[int, ...], addends: list[list[int]]) -> list[int]:
-        """All initial partial-homomorphism assignments on Y extending h."""
-        stem = self._rebase(h, fixed)
-        combos = [stem]
-        for options in addends:
-            combos = [c + u for c in combos for u in options]
-        out = []
-        elems = self.subset_elems[y_id]
-        base = self.base
-        for g in combos:
-            values = []
-            gg = g
-            for _ in elems:
-                values.append(gg % base)
-                gg //= base
-            ok = True
-            for rel, positions in self.constraints[y_id]:
-                if tuple(values[p] for p in positions) not in rel:
-                    ok = False
-                    break
-            if ok:
-                out.append(g)
-        return sorted(out)
-
-    def pair_structs(self, x_id: int, y_id: int):
-        """(proj, fixed, addends) navigation data for X below Y."""
-        x_elems = self.subset_elems[x_id]
-        y_elems = self.subset_elems[y_id]
-        y_pos = {el: p for p, el in enumerate(y_elems)}
-        fixed = tuple(self.powers[y_pos[el]] for el in x_elems)
-        x_set = set(x_elems)
-        addends = [
-            [v * self.powers[y_pos[e]] for v in self.cand[e]]
-            for e in y_elems
-            if e not in x_set
-        ]
-        return fixed, addends
-
-    def build_trace(self) -> GameTrace:
+    def build_trace(self, initial: list[int]) -> GameTrace:
+        """The spoiler strategy read off the deletion reasons; ``initial`` is
+        the tables from before ``run``, whose entries are all the replies."""
         memo: dict[tuple[int, int], TraceNode] = {}
 
         def node_for(s_id: int, h: int) -> TraceNode:
             key = (s_id, h)
             if key in memo:
                 return memo[key]
-            seq_index = self.deleted[key]
-            reason = self.sequence[seq_index][2]
+            reason = self.reasons[key]
             pebbles, values = self.decode(s_id, h)
             if reason[0] == "unsupported":
+                # the duplicator's replies: every initial assignment on Y extending h
                 y_id = reason[1]
-                fixed, addends = self.pair_structs(s_id, y_id)
+                x_elems, y_elems = self.subset_elems[s_id], self.subset_elems[y_id]
+                free, stems, _ = self._masks(len(y_elems), tuple(map(y_elems.index, x_elems)))
                 children = []
-                for g in self.replies(y_id, h, fixed, addends):
+                for g in _bits(initial[y_id] & free << stems[h]):
                     _, g_values = self.decode(y_id, g)
                     children.append((g_values, node_for(y_id, g)))
-                target = tuple(self.a_ids[e] for e in self.subset_elems[y_id])
+                target = tuple(self.a_ids[e] for e in y_elems)
                 node = TraceNode(pebbles, values, "extend", target, tuple(children))
             else:  # restriction death: retract to the dead sub-assignment
                 x_sub_id, h_sub = reason[1], reason[2]
@@ -446,6 +370,14 @@ class _Fixpoint:
             return node
 
         return GameTrace(node_for(self.subset_id[()], 0))
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def kl_family(
@@ -482,9 +414,10 @@ def spoiler_trace(
 ) -> Optional[GameTrace]:
     """A validated spoiler strategy tree, present iff the instance is inconsistent."""
     fix = _Fixpoint(a, b, k, l, max_entries)
+    initial = list(fix.table)  # ints are immutable: this shares, not copies
     if fix.run():
         return None
-    return fix.build_trace()
+    return fix.build_trace(initial)
 
 
 def validate_trace(trace: GameTrace, a: Structure, b: Structure, k: int, l: int) -> bool:

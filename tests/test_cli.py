@@ -131,6 +131,60 @@ def test_confuse_fn_small(tmp_path, capsys):
     assert report["colorings_tested"] == 16 and report["verdict"] is True
 
 
+def test_consist_trace_when_consistent(tmp_path, capsys):
+    template = tmp_path / "t2.json"
+    run(capsys, "gen", "template", "--group", "2", "-o", str(template))
+    solvable = tmp_path / "m0.json"
+    run(capsys, "gen", "lineq", "--n", "4", "--group", "2", "-o", str(solvable))
+    trace_out = tmp_path / "trace.json"
+    code, text = run(
+        capsys,
+        "consist", str(solvable), str(template), "--k", "2", "--l", "3",
+        "--trace", str(trace_out),
+    )
+    assert code == 0 and text == "consistent\n"
+    assert not trace_out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (
+            "consist {bad} {good} --k 1 --l 1",
+            {"signature": [{"name": "E", "arity": 2}], "domain": ["a"], "relations": []},
+        ),
+        (
+            "confuse --diagram {bad} --m 2 --class fn --jobs 1",
+            {**cli.diagram_to_doc(diagram_Fn(2)), "leftEmb": [["v1", "v1", "v2"]]},
+        ),
+        ("hom --from {bad} --to {good}", [cli.structure_to_doc(gen_Fn(2))]),
+    ],
+    ids=["list-relations", "list-leftEmb", "top-level-array"],
+)
+def test_malformed_document_exit_2(tmp_path, capsys, command, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = tmp_path / "good.json"
+    good.write_text(cli.dump_canonical(cli.structure_to_doc(gen_Fn(2))))
+    code = cli.main([arg.format(bad=bad, good=good) for arg in command.split()])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_confuse_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
+    diagram = tmp_path / "d2.json"
+    run(capsys, "gen", "fn", "--n", "2", "--diagram", "-o", str(diagram))
+    code = cli.main(
+        ["confuse", "--diagram", str(diagram), "--m", "2", "--class", "fn", "--jobs", jobs]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--jobs: must be at least 1" in captured.err
+
+
 def test_confuse_lineq_failures_exit_1(tmp_path, capsys):
     diagram = tmp_path / "dl2.json"
     run(capsys, "gen", "lineq", "--n", "2", "--group", "2", "--diagram", "-o", str(diagram))

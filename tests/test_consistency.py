@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import game_consistent
 
+from finstruct import cli
 from finstruct.consistency import (
     BudgetExceeded,
     GameTrace,
@@ -246,3 +251,53 @@ def test_inverse_hom_transfer_rejects_non_hom():
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         kl_family(lineq_amalgam(4), T2, 2, 3, max_entries=100)
+
+
+UNARY = tuple(name for name, arity in T2.signature.symbols if arity == 1)
+BINARY = tuple(name for name, arity in T2.signature.symbols if arity == 2)
+
+
+@st.composite
+def z2_instances(draw) -> Structure:
+    """Up to four elements with random unary labels and pi-edges."""
+    domain = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    element = st.sampled_from(domain)
+    relations: dict[str, list[tuple[str, ...]]] = {name: [] for name in UNARY + BINARY}
+    for name, x in draw(st.lists(st.tuples(st.sampled_from(UNARY), element), max_size=4)):
+        relations[name].append((x,))
+    for name, x, y in draw(
+        st.lists(st.tuples(st.sampled_from(BINARY), element, element), max_size=6)
+    ):
+        relations[name].append((x, y))
+    return Structure(T2.signature, domain, relations)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(z2_instances(), st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]))
+def test_fixpoint_matches_game_oracle(instance, kl):
+    k, l = kl
+    consistent = is_consistent(instance, T2, k, l)
+    assert consistent == game_consistent(instance, T2, k, l)
+    family = kl_family(instance, T2, k, l)
+    assert (family is not None) == consistent
+    if family is not None:
+        assert validate_family(family)
+    else:
+        trace = spoiler_trace(instance, T2, k, l)
+        assert trace is not None and validate_trace(trace, instance, T2, k, l)
+
+
+# SHA-256 of the canonical trace documents of the lineq Z2 free amalgams at
+# (2,3); any change to the deletion order or reasons changes these bytes
+TRACE_SHA256 = {
+    2: "37f5a41c35f0a8d9aa8e7f8d0f2fb54abc8530534b8fba4fc069537bb7584215",
+    4: "830c1c80e340b4f1f1ce9c91e744204231eea84c46b4c31399fc5875548724f6",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TRACE_SHA256))
+def test_trace_bytes_pinned(n):
+    trace = spoiler_trace(lineq_amalgam(n), T2, 2, 3)
+    assert trace is not None
+    text = cli.dump_canonical(cli._trace_to_doc(trace.root))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRACE_SHA256[n]
