@@ -275,9 +275,9 @@ def _trace_to_doc(node: consistency.TraceNode) -> dict:
 
 def _oracle_for(spec: str) -> verifier.ClassOracle:
     if spec == "fn":
-        return verifier.forbh_oracle(families.FnFamily(), size_bound=0)
+        return verifier.forbh_oracle(families.FnFamily())
     if spec == "g":
-        return verifier.forbh_oracle(families.GFamily(), size_bound=0)
+        return verifier.forbh_oracle(families.GFamily())
     if spec.startswith("lineq:"):
         try:
             k_text, l_text, group_text = spec[len("lineq:") :].split(",")
@@ -292,12 +292,6 @@ def _oracle_for(spec: str) -> verifier.ClassOracle:
 def _cmd_confuse(args) -> int:
     diagram = load_diagram(args.diagram)
     oracle = _oracle_for(args.cls)
-    if args.cls == "g":
-        # glued copies carry at most as many leaves as the base; margin of 2
-        leaves = max(len(diagram.base.domain), 2)
-        oracle = verifier.forbh_oracle(
-            families.GFamily(), size_bound=0, hard_cap=2 * (leaves + 2)
-        )
     report = verifier.check_confusion(
         diagram,
         args.m,

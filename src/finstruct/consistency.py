@@ -27,7 +27,7 @@ from .core import ElementMap, SignatureMismatch, Structure, StructureError
 
 
 class BudgetExceeded(RuntimeError):
-    """The consistency table would exceed the configured entry cap."""
+    """A table, sweep or enumeration would exceed its resource budget."""
 
 
 DEFAULT_TABLE_CAP = 2_000_000

@@ -119,9 +119,7 @@ class Structure:
         self._domain = dom
         self._domain_set = dom_set
         self._relations = rels
-        self._hash = hash(
-            (signature, dom, tuple(sorted((n, tuple(sorted(ts))) for n, ts in rels.items())))
-        )
+        self._hash: Optional[int] = None  # computed on first use; sweeps never hash
 
     @property
     def signature(self) -> Signature:
@@ -164,6 +162,14 @@ class Structure:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(
+                (
+                    self._signature,
+                    self._domain,
+                    tuple(sorted((n, tuple(sorted(ts))) for n, ts in self._relations.items())),
+                )
+            )
         return self._hash
 
     def __repr__(self) -> str:
@@ -476,6 +482,37 @@ def is_connected(s: Structure) -> bool:
                 seen.add(y)
                 stack.append(y)
     return len(seen) == len(s.domain)
+
+
+def height(s: Structure, names: Iterable[str]) -> Optional[int]:
+    """Edges on the longest directed walk in the union of binary relations.
+
+    None when the union of the relations ``names`` has a cycle (a loop is
+    one), since walks are then unbounded.  Otherwise the longest walk is a
+    path and its length is found by a topological sweep.
+    """
+    succ: dict[str, set[str]] = {x: set() for x in s.domain}
+    for name in names:
+        for u, v in s.relation(name):
+            succ[u].add(v)
+    indegree = dict.fromkeys(s.domain, 0)
+    for targets in succ.values():
+        for v in targets:
+            indegree[v] += 1
+    level = dict.fromkeys(s.domain, 0)
+    ready = [x for x in s.domain if not indegree[x]]
+    done = 0
+    while ready:
+        u = ready.pop()
+        done += 1
+        for v in succ[u]:
+            level[v] = max(level[v], level[u] + 1)
+            indegree[v] -= 1
+            if not indegree[v]:
+                ready.append(v)
+    if done < len(s.domain):
+        return None
+    return max(level.values(), default=0)
 
 
 def reduct(s: Structure, names: Iterable[str]) -> Structure:

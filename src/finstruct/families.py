@@ -12,6 +12,7 @@ from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import core, morphisms
+from .consistency import BudgetExceeded
 from .core import ElementMap, Signature, Structure, StructureError
 
 
@@ -165,16 +166,28 @@ class TreeShape:
                 stack.append((path + "0", node.left))
 
     @classmethod
-    def all_shapes(cls, leaves: int) -> list["TreeShape"]:
-        """All full binary trees with the given leaf count (Catalan many)."""
+    def all_shapes(cls, leaves: int, depth: Optional[int] = None) -> list["TreeShape"]:
+        """All full binary trees with the given leaf count (Catalan many).
+
+        With ``depth``, only the trees of at most that depth, pruned in the
+        recursion: a tree of depth d has at most 2^d leaves.  The order is
+        that of the unbounded list with the deeper trees left out.
+        """
         if leaves < 1:
             raise StructureError("leaf count must be >= 1")
+        if depth is not None:
+            if depth < 0:
+                raise StructureError("depth must be >= 0")
+            if leaves > 1 << depth:
+                return []
         if leaves == 1:
             return [cls.leaf()]
+        sub = None if depth is None else depth - 1
         out: list[TreeShape] = []
         for k in range(1, leaves):
-            for left in cls.all_shapes(k):
-                for right in cls.all_shapes(leaves - k):
+            rights = cls.all_shapes(leaves - k, sub)
+            for left in cls.all_shapes(k, sub):
+                for right in rights:
                     out.append(cls(left, right))
         return out
 
@@ -706,10 +719,38 @@ def cplus_check(splus: Structure) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Indexed family enumerators (for membership oracles)
+# Family enumerators for Forb_h membership
+#
+# Calling a family on an input structure yields its members in the family's
+# order up to a bound worked out from the input, which always covers the first
+# member that maps homomorphically into it.  The bounds rest on the height
+# (core.height) of the input's directed relations, since a homomorphism maps
+# a directed walk onto a walk of the same length (Hell & Nesetril, Graphs and
+# Homomorphisms, 2004).
+
+# Deepest tree shapes the G family enumerates: 676 members have depth at most
+# 4, but 458,329 have depth at most 5.
+G_MAX_DEPTH = 4
+
+
+def _path_bound(s: Structure) -> int:
+    """Most nodes of an Ed-path that the F and P families need to try."""
+    h = core.height(s, ("Ed",))
+    return len(s.domain) if h is None else h + 1
+
 
 class FnFamily:
-    """The colored-path family, indexed by path length; member size is n + 2."""
+    """The colored-path family, indexed by path length; member size is n + 2.
+
+    On input ``s`` it yields F_n for n <= h + 1 when Ed is acyclic in ``s``
+    with height h, and for n <= |s| otherwise.  Proof: a homomorphism from
+    F_n sends its path to an Ed-walk of n - 1 edges, so n - 1 <= h.  That
+    walk runs from an S-element to a T-element through elements that are
+    E-adjacent both ways to the images of red and blue; the shortest such
+    walk among those elements is a simple path of k <= min(n, |s|) nodes,
+    and F_k maps onto it.  So the first member that maps, in order of n, is
+    always yielded.
+    """
 
     def __init__(self):
         self._cache: dict[int, Structure] = {}
@@ -723,17 +764,24 @@ class FnFamily:
             self._cache[n] = gen_Fn(n)
         return self._cache[n]
 
-    def __call__(self, max_size: int) -> Iterator[Structure]:
-        n = 1
-        while n + 2 <= max_size:
+    def __call__(self, s: Structure) -> Iterator[Structure]:
+        for n in range(1, _path_bound(s) + 1):
             yield self.member(n)
-            n += 1
 
 
 class GFamily:
     """The leaf-glued binary-tree family, enumerated by leaf count then shape.
 
-    A member with k leaves has 2k elements.
+    A member with k leaves has 2k elements.  On input ``s`` it yields the
+    shapes of depth at most D, where D is the height h of Ed0 | Ed1 in ``s``
+    when that union is acyclic, and |s| otherwise.  Proof: a homomorphism
+    sends each root-to-leaf path of depth d to a walk of d edges, so d <= h.
+    In the cyclic case take a mapping member with the fewest leaves.  Were
+    its depth above |s|, its deepest root-to-leaf path would hold two inner
+    nodes u above w with one image; putting the subtree at w in place of the
+    subtree at u keeps a homomorphism and loses leaves.  So the first member
+    that maps, in leaf order, is always yielded.  D above G_MAX_DEPTH raises
+    BudgetExceeded.
     """
 
     def __init__(self):
@@ -743,20 +791,32 @@ class GFamily:
     def signature(self) -> Signature:
         return G_SIGNATURE
 
-    def members_with_leaves(self, leaves: int) -> list[Structure]:
-        if leaves not in self._cache:
-            self._cache[leaves] = [gen_G(s) for s in TreeShape.all_shapes(leaves)]
-        return self._cache[leaves]
+    def members_of_depth(self, depth: int) -> list[Structure]:
+        """Members of depth at most ``depth``, by leaf count then shape."""
+        if depth not in self._cache:
+            self._cache[depth] = [
+                gen_G(shape)
+                for leaves in range(2, (1 << depth) + 1)
+                for shape in TreeShape.all_shapes(leaves, depth)
+            ]
+        return self._cache[depth]
 
-    def __call__(self, max_size: int) -> Iterator[Structure]:
-        leaves = 2
-        while 2 * leaves <= max_size:
-            yield from self.members_with_leaves(leaves)
-            leaves += 1
+    def __call__(self, s: Structure) -> Iterator[Structure]:
+        h = core.height(s, ("Ed0", "Ed1"))
+        depth = len(s.domain) if h is None else h
+        if depth > G_MAX_DEPTH:
+            raise BudgetExceeded(
+                f"tree members up to depth {depth} exceed the depth limit {G_MAX_DEPTH}"
+            )
+        yield from self.members_of_depth(depth)
 
 
 class PnFamily:
-    """The source-to-target path family; member size is n."""
+    """The source-to-target path family; member size is n.
+
+    Yields P_n for the same n as FnFamily, by the same proof: the image of
+    P_n is an S-to-T Ed-walk, whose shortest sub-walk is a simple path.
+    """
 
     def __init__(self):
         self._cache: dict[int, Structure] = {}
@@ -765,8 +825,8 @@ class PnFamily:
     def signature(self) -> Signature:
         return P_SIGNATURE
 
-    def __call__(self, max_size: int) -> Iterator[Structure]:
-        for n in range(1, max_size + 1):
+    def __call__(self, s: Structure) -> Iterator[Structure]:
+        for n in range(1, _path_bound(s) + 1):
             if n not in self._cache:
                 self._cache[n] = gen_Pn(n)
             yield self._cache[n]

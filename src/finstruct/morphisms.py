@@ -138,7 +138,6 @@ class HomomorphismSearcher:
         "_succ",
         "_pred",
         "_diag",
-        "_totals",
         "_wide",
         "_full",
     )
@@ -151,10 +150,10 @@ class HomomorphismSearcher:
         self._n = len(values)
         self._full = (1 << self._n) - 1
         self._unary: dict[str, int] = {}
-        self._succ: dict[str, list[int]] = {}
-        self._pred: dict[str, list[int]] = {}
+        # name -> (rows, union of the rows, tag naming the row table)
+        self._succ: dict[str, tuple[list[int], int, int]] = {}
+        self._pred: dict[str, tuple[list[int], int, int]] = {}
         self._diag: dict[str, int] = {}
-        self._totals: dict[int, int] = {}  # id(rows) -> union of all rows
         self._wide: dict[str, frozenset[tuple[str, ...]]] = {}
         for name, ts in target.relations_items():
             arity = target.signature.arity(name)
@@ -173,34 +172,34 @@ class HomomorphismSearcher:
                     pred[iv] |= 1 << iu
                     if iu == iv:
                         diag |= 1 << iu
-                self._succ[name] = succ
-                self._pred[name] = pred
-                self._diag[name] = diag
                 union_pred = 0
                 for mask in pred:
                     union_pred |= mask
                 union_succ = 0
                 for mask in succ:
                     union_succ |= mask
-                self._totals[id(pred)] = union_pred
-                self._totals[id(succ)] = union_succ
+                tag = 2 * len(self._succ)
+                self._succ[name] = (succ, union_succ, tag)
+                self._pred[name] = (pred, union_pred, tag + 1)
+                self._diag[name] = diag
             else:
                 self._wide[name] = ts
 
     def _prepare(self, source: Structure):
         """Candidate masks and constraint indexes for one source structure.
 
-        ``support[i]`` holds (j, rows) pairs with rows[w] = mask of values
-        allowed for variable i when variable j takes value w; ``forward[i]``
-        holds the mirrored pairs used to narrow later variables when i is
-        assigned.
+        ``support[i]`` holds (j, rows, total, tag) entries with rows[w] =
+        mask of values allowed for variable i when variable j takes value w,
+        total the union of all rows and tag naming the row table;
+        ``forward[i]`` holds the mirrored (j, rows) pairs used to narrow
+        later variables when i is assigned.
         """
         if source.signature != self.target.signature:
             raise SignatureMismatch("searcher and source signatures differ")
         order, unary, binary, wide = _source_skeleton(source)
         n = len(order)
         cand = [self._full] * n
-        support: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+        support: list[list[tuple[int, list[int], int, int]]] = [[] for _ in range(n)]
         forward: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
         wide_checks: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in range(n)]
         for name, ix in unary:
@@ -211,10 +210,10 @@ class HomomorphismSearcher:
             else:
                 succ = self._succ[name]
                 pred = self._pred[name]
-                support[ix].append((iy, pred))
-                support[iy].append((ix, succ))
-                forward[ix].append((iy, succ))
-                forward[iy].append((ix, pred))
+                support[ix].append((iy, *pred))
+                support[iy].append((ix, *succ))
+                forward[ix].append((iy, succ[0]))
+                forward[iy].append((ix, pred[0]))
         for name, posn in wide:
             wide_checks[max(posn)].append((name, posn))
         return order, cand, support, forward, wide_checks
@@ -222,13 +221,12 @@ class HomomorphismSearcher:
     def _ac(self, cand: list[int], support, forward) -> bool:
         """Arc-consistency fixpoint; False when some candidate set empties.
 
-        Support unions are cached per (variable, row table) and reused while
-        that variable's candidates are unchanged; a still-full candidate set
-        contributes the precomputed whole-table union.
+        Support unions are cached per (variable, row table tag) and reused
+        while that variable's candidates are unchanged; a still-full
+        candidate set contributes the precomputed whole-table union.
         """
         n = len(cand)
         full = self._full
-        totals = self._totals
         queue = deque(range(n))
         queued = [True] * n
         cache: dict[tuple[int, int], tuple[int, int]] = {}
@@ -236,12 +234,12 @@ class HomomorphismSearcher:
             i = queue.popleft()
             queued[i] = False
             ci = cand[i]
-            for (j, rows) in support[i]:
+            for (j, rows, total, tag) in support[i]:
                 mj = cand[j]
                 if mj == full:
-                    supp = totals[id(rows)]
+                    supp = total
                 else:
-                    key = (j, id(rows))
+                    key = (j, tag)
                     hit = cache.get(key)
                     if hit is not None and hit[0] == mj:
                         supp = hit[1]

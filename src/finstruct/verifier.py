@@ -49,28 +49,18 @@ class ClassOracle:
 
 
 class _ForbhMembership:
-    """No family member of bounded size maps homomorphically into the input."""
+    """No family member maps homomorphically into the input."""
 
-    def __init__(self, generator, size_bound: int, hard_cap: Optional[int]):
-        self.generator = generator
-        self.size_bound = size_bound
-        self.hard_cap = hard_cap
-
-    def _cap(self, s: Structure) -> int:
-        if self.hard_cap is not None:
-            return self.hard_cap
-        return max(self.size_bound, len(s.domain))
+    def __init__(self, family):
+        self.family = family
 
     def __call__(self, s: Structure) -> bool:
         searcher = HomomorphismSearcher(s)
-        for member in self.generator(self._cap(s)):
-            if searcher.exists(member):
-                return False
-        return True
+        return not any(searcher.exists(member) for member in self.family(s))
 
     def explain(self, s: Structure) -> Optional[str]:
         searcher = HomomorphismSearcher(s)
-        for member in self.generator(self._cap(s)):
+        for member in self.family(s):
             hom = searcher.find(member)
             if hom is not None:
                 return f"member of size {len(member.domain)} maps in via {dict(hom.items())}"
@@ -93,20 +83,21 @@ class _ConsistencyMembership:
         return f"not ({self.k},{self.l})-consistent with the template"
 
 
-def forbh_oracle(generator, size_bound: int, hard_cap: Optional[int] = None) -> ClassOracle:
+def forbh_oracle(family) -> ClassOracle:
     """Membership oracle for the class forbidding homomorphisms from a family.
 
-    ``generator(max_size)`` must yield the family members of at most
-    ``max_size`` elements in nondecreasing size.  Membership enumerates
-    members up to ``max(size_bound, |input|)`` elements; ``hard_cap``
-    overrides that bound for families whose member count explodes with
-    size, at the caller's judgement of which sizes are relevant.
+    ``family(s)`` yields family members in the family's fixed order, and
+    must include the first member that maps homomorphically into ``s``
+    whenever one does.  Each family bounds its members by the input alone
+    and proves the bound in its docstring.  The input is a member of the
+    class iff no yielded member maps in; the witness names the first one
+    that does.
     """
-    impl = _ForbhMembership(generator, size_bound, hard_cap)
+    impl = _ForbhMembership(family)
     return ClassOracle(
         membership=impl,
         inverse_hom_closed=True,
-        description=f"Forb_h({type(generator).__name__})",
+        description=f"Forb_h({type(family).__name__})",
         witness=impl.explain,
     )
 
@@ -343,7 +334,7 @@ def homogenization_probe(
     substructures (skipped unless the random identification is an
     embedding of expansions) with the amalgam checked again.
     """
-    oracle = forbh_oracle(families.PnFamily(), size_bound=0)
+    oracle = forbh_oracle(families.PnFamily())
     expansions = []
     for sample in samples:
         if not oracle.member(sample):

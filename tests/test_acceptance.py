@@ -59,7 +59,7 @@ def report(number: int, elapsed: float, detail: str) -> None:
 
 
 def test_criterion_01_amalgamation_failure_fn():
-    oracle = forbh_oracle(FnFamily(), size_bound=0)
+    oracle = forbh_oracle(FnFamily())
     details = []
     for n in (3, 4, 5):
         start = time.monotonic()
@@ -74,7 +74,7 @@ def test_criterion_01_amalgamation_failure_fn():
 
 
 def test_criterion_02_confusion_fn():
-    oracle = forbh_oracle(FnFamily(), size_bound=0)
+    oracle = forbh_oracle(FnFamily())
     start = time.monotonic()
     small = check_confusion(diagram_Fn(3), 2, oracle, jobs=JOBS)
     small_time = time.monotonic() - start
@@ -95,8 +95,7 @@ def test_criterion_02_confusion_fn():
 def test_criterion_03_confusion_g():
     shape = TreeShape.parse("((..)(..))")
     d = diagram_G(shape)
-    leaves = len(d.base.domain)
-    oracle = forbh_oracle(GFamily(), size_bound=0, hard_cap=2 * (leaves + 2))
+    oracle = forbh_oracle(GFamily())
     start = time.monotonic()
     rep = check_confusion(d, 2, oracle, jobs=JOBS)
     elapsed = time.monotonic() - start
@@ -351,7 +350,7 @@ def test_criterion_10_oracle_equivalence():
 def _seeded_members(count: int, seed: int) -> list[Structure]:
     """Seeded random path-signature structures with no source-to-target walk."""
     rng = SplitMix64(seed)
-    oracle = forbh_oracle(PnFamily(), size_bound=0)
+    oracle = forbh_oracle(PnFamily())
     out: list[Structure] = []
     while len(out) < count:
         n = 2 + rng.next_below(5)

@@ -131,6 +131,34 @@ def test_confuse_fn_small(tmp_path, capsys):
     assert report["colorings_tested"] == 16 and report["verdict"] is True
 
 
+def test_confuse_g_small(tmp_path, capsys):
+    diagram = tmp_path / "g3.json"
+    run(capsys, "gen", "g", "--shape", "((..).)", "--diagram", "-o", str(diagram))
+    code, text = run(
+        capsys,
+        "confuse", "--diagram", str(diagram), "--m", "2", "--class", "g", "--jobs", "1",
+    )
+    assert code == 0
+    report = json.loads(text)
+    assert report["colorings_tested"] == 256 and report["verdict"] is True
+
+
+def test_confuse_g_too_deep_exit_2(tmp_path, capsys):
+    # the tree side has depth 5, beyond the tree members the class enumerates
+    diagram = tmp_path / "g5.json"
+    run(capsys, "gen", "g", "--shape", "(((((..).).).).)", "--diagram", "-o", str(diagram))
+    code = cli.main(
+        [
+            "confuse", "--diagram", str(diagram), "--m", "2", "--mode", "sample",
+            "--samples", "1", "--class", "g", "--jobs", "1",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_consist_trace_when_consistent(tmp_path, capsys):
     template = tmp_path / "t2.json"
     run(capsys, "gen", "template", "--group", "2", "-o", str(template))

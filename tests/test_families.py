@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from oracles import marking_solution_count
@@ -341,9 +343,9 @@ def test_cplus_closed_under_free_amalgam():
 
 def test_family_enumerators():
     fn = FnFamily()
-    members = list(fn(6))
+    members = list(fn(gen_Fn(4)))
     assert [len(m.domain) for m in members] == [3, 4, 5, 6]
     gf = GFamily()
-    assert [len(m.domain) for m in gf(8)] == [4, 6, 6, 8, 8, 8, 8, 8]
+    assert [len(m.domain) for m in islice(gf(gen_G(TreeShape.balanced(3))), 8)] == [4, 6, 6, 8, 8, 8, 8, 8]
     pn = PnFamily()
-    assert [len(m.domain) for m in pn(3)] == [1, 2, 3]
+    assert [len(m.domain) for m in pn(gen_Pn(3))] == [1, 2, 3]

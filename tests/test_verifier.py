@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pickle
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finstruct import core
 from finstruct.consistency import BudgetExceeded
@@ -14,13 +17,18 @@ from finstruct.families import (
     Coloring,
     FnFamily,
     FN_SIGNATURE,
+    GFamily,
+    G_SIGNATURE,
+    PnFamily,
     TreeShape,
     build_JC,
     build_template,
     diagram_Fn,
+    diagram_G,
     diagram_lineq,
     gen_Fn,
     gen_G,
+    gen_Pn,
     io_expansion,
     marking,
     tree_instance,
@@ -45,7 +53,7 @@ T2 = build_template(Z2)
 
 
 def test_forbh_oracle_fn():
-    oracle = forbh_oracle(FnFamily(), size_bound=0)
+    oracle = forbh_oracle(FnFamily())
     assert not oracle.member(gen_Fn(3))  # the identity maps F_3 in
     no_source = Structure(FN_SIGNATURE, ["x"], {"R": [("x",)]})
     assert oracle.member(no_source)
@@ -58,7 +66,7 @@ def test_forbh_oracle_fn():
 
 
 def test_forbh_oracle_substructure_monotone():
-    oracle = forbh_oracle(FnFamily(), size_bound=0)
+    oracle = forbh_oracle(FnFamily())
     member = diagram_Fn(4).left  # no blue vertex, so no F_k maps in
     assert oracle.member(member)
     sub = core.induced_substructure(member, list(member.domain)[:3])
@@ -66,13 +74,136 @@ def test_forbh_oracle_substructure_monotone():
 
 
 def test_forbh_oracle_agrees_with_single_member_check():
-    oracle = forbh_oracle(FnFamily(), size_bound=0)
+    oracle = forbh_oracle(FnFamily())
     d = diagram_Fn(3)
     spots = canonical_embeddings(d.base, 2).members
     f3 = gen_Fn(3)
     for enc in (0, 0b11111111, 0b1100_0011, 0b0101_0101):
         glued, _ = build_JC(d, 2, Coloring.from_encoding(spots, enc))
         assert oracle.member(glued) == (find_homomorphism(f3, glued) is None)
+
+
+def test_forbh_oracle_catches_folded_members():
+    # each member here has more elements than the input and maps in only by
+    # folding, so a member bound of |input| elements would miss it
+    folded_fn = Structure(
+        FN_SIGNATURE,
+        ["x", "y"],
+        {"R": [("x",)], "B": [("x",)], "S": [("y",)], "T": [("y",)], "E": [("x", "y"), ("y", "x")]},
+    )
+    fn = forbh_oracle(FnFamily())
+    assert not fn.member(folded_fn)
+    assert fn.witness(folded_fn) == "member of size 3 maps in via {'blue': 'x', 'red': 'x', 'v1': 'y'}"
+    folded_g = Structure(
+        G_SIGNATURE,
+        ["x", "y"],
+        {
+            "B": [("x",)],
+            "R": [("y",)],
+            "Ed0": [("y", "y")],
+            "Ed1": [("y", "y")],
+            "E": [("x", "y"), ("y", "x")],
+        },
+    )
+    g = forbh_oracle(GFamily())
+    assert not g.member(folded_g)
+    assert g.witness(folded_g) == (
+        "member of size 4 maps in via {'blue': 'x', 't': 'y', 't0': 'y', 't1': 'y'}"
+    )
+
+
+# Far more members than the families yield for the small inputs below.
+REFERENCE_MEMBERS = {
+    FnFamily: [gen_Fn(n) for n in range(1, 9)],
+    PnFamily: [gen_Pn(n) for n in range(1, 9)],
+    GFamily: [gen_G(shape) for leaves in range(2, 9) for shape in TreeShape.all_shapes(leaves)],
+}
+
+
+@st.composite
+def family_inputs(draw):
+    """A family and an input of its signature: at most 4 elements, 3 for trees.
+
+    Half the inputs carry every unary label, so that their membership turns
+    on the binary relations alone.
+    """
+    family = draw(st.sampled_from([FnFamily, PnFamily, GFamily]))
+    signature = family().signature
+    domain = [f"x{i}" for i in range(draw(st.integers(1, 3 if family is GFamily else 4)))]
+    labelled = draw(st.booleans())
+    relations = {
+        name: draw(
+            st.sets(
+                st.sampled_from(list(product(domain, repeat=arity))),
+                min_size=1 if labelled and arity == 1 else 0,
+            )
+        )
+        for name, arity in signature.symbols
+    }
+    return family, Structure(signature, domain, relations)
+
+
+# an acyclic input that a tree member maps into, which random draws of at
+# most 3 elements rarely give
+ACYCLIC_G_NON_MEMBER = Structure(
+    G_SIGNATURE,
+    ["x", "y", "z"],
+    {
+        "B": [("x",)],
+        "R": [("y",)],
+        "Ed0": [("y", "z")],
+        "Ed1": [("y", "z")],
+        "E": [("x", "z"), ("z", "x")],
+    },
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(family_inputs())
+@example((GFamily, ACYCLIC_G_NON_MEMBER))
+def test_forbh_member_bound_matches_reference(case):
+    family, s = case
+    oracle = forbh_oracle(family())
+    first = None
+    for member in REFERENCE_MEMBERS[family]:
+        hom = find_homomorphism(member, s)
+        if hom is not None:
+            first = f"member of size {len(member.domain)} maps in via {dict(hom.items())}"
+            break
+    assert oracle.member(s) == (first is None)
+    assert oracle.witness(s) == first
+
+
+def test_forbh_g_depth_budget():
+    # an Ed0 loop makes the walks unbounded, so the bound falls back to the
+    # 5 elements, one more than the deepest tree members enumerated
+    domain = ["a", "b", "c", "d", "e"]
+    cyclic = Structure(G_SIGNATURE, domain, {"Ed0": [("a", "a")]})
+    with pytest.raises(BudgetExceeded):
+        forbh_oracle(GFamily()).member(cyclic)
+
+
+# Witness strings recorded before the member bounds were derived from the input.
+PINNED_WITNESSES = {
+    "F_3": "member of size 5 maps in via "
+    "{'blue': 'blue', 'red': 'red', 'v1': 'v1', 'v2': 'v2', 'v3': 'v3'}",
+    "Fn3 free amalgam": "member of size 5 maps in via "
+    "{'blue': 'r.blue', 'red': 'l.red', 'v1': 'l.v1', 'v2': 'l.v2', 'v3': 'l.v3'}",
+    "G((..)(..)) free amalgam": "member of size 8 maps in via "
+    "{'blue': 'r.blue', 't': 'l.t', 't0': 'l.t0', 't00': 'l.t00', 't01': 'l.t01', "
+    "'t1': 'l.t1', 't10': 'l.t10', 't11': 'l.t11'}",
+}
+
+
+def test_forbh_witness_bytes_pinned():
+    fn = forbh_oracle(FnFamily())
+    g = forbh_oracle(GFamily())
+    tree = diagram_G(TreeShape.parse("((..)(..))"))
+    assert {
+        "F_3": fn.witness(gen_Fn(3)),
+        "Fn3 free amalgam": fn.witness(diagram_Fn(3).free_amalgam().amalgam),
+        "G((..)(..)) free amalgam": g.witness(tree.free_amalgam().amalgam),
+    } == PINNED_WITNESSES
 
 
 def test_consistency_oracle():
@@ -85,7 +216,7 @@ def test_consistency_oracle():
 
 
 def test_witnesses_failure():
-    assert witnesses_failure(diagram_Fn(3), forbh_oracle(FnFamily(), size_bound=0))
+    assert witnesses_failure(diagram_Fn(3), forbh_oracle(FnFamily()))
     assert witnesses_failure(diagram_lineq(4, Z2), consistency_oracle(T2, 2, 3))
     # a span whose free amalgam stays in the class does not witness failure
     point = Structure(FN_SIGNATURE, ["x"], {})
@@ -93,7 +224,7 @@ def test_witnesses_failure():
 
     ident = ElementMap.identity(point.domain)
     degenerate = Diagram(point, point, point, ident, ident)
-    assert not witnesses_failure(degenerate, forbh_oracle(FnFamily(), size_bound=0))
+    assert not witnesses_failure(degenerate, forbh_oracle(FnFamily()))
 
 
 def test_witnesses_failure_requires_closure_and_membership():
@@ -110,15 +241,15 @@ def test_witnesses_failure_requires_closure_and_membership():
         d.base.domain, f3.domain, {x: x for x in d.base.domain}
     ))
     with pytest.raises(StructureError):
-        witnesses_failure(bad, forbh_oracle(FnFamily(), size_bound=0))
+        witnesses_failure(bad, forbh_oracle(FnFamily()))
 
 
 def test_quotients_of_failing_amalgam_stay_outside():
     d = diagram_Fn(3)
     free = d.free_amalgam().amalgam
-    # quotients can shrink below the family member that maps in, so the
-    # enumeration bound must cover the amalgam's own size
-    oracle = forbh_oracle(FnFamily(), size_bound=len(free.domain))
+    # quotients fold the path into Ed-cycles; the family then bounds its
+    # members by the quotient's own size
+    oracle = forbh_oracle(FnFamily())
     assert witnesses_failure(d, oracle)
     rng = SplitMix64(11)
     for _ in range(5):
@@ -132,7 +263,7 @@ def test_quotients_of_failing_amalgam_stay_outside():
 
 def test_check_confusion_small_fn():
     d = diagram_Fn(2)
-    oracle = forbh_oracle(FnFamily(), size_bound=0)
+    oracle = forbh_oracle(FnFamily())
     report = check_confusion(d, 2, oracle)
     assert report.colorings_tested == 16
     assert report.verdict and not report.failures
@@ -142,14 +273,14 @@ def test_check_confusion_small_fn():
 
 def test_check_confusion_exhaustive_budget():
     d = diagram_Fn(3)
-    oracle = forbh_oracle(FnFamily(), size_bound=0)
+    oracle = forbh_oracle(FnFamily())
     with pytest.raises(BudgetExceeded):
         check_confusion(d, 3, oracle)  # 27 spots > 20
 
 
 def test_check_confusion_sample_mode_deterministic():
     d = diagram_Fn(3)
-    oracle = forbh_oracle(FnFamily(), size_bound=0)
+    oracle = forbh_oracle(FnFamily())
     one = check_confusion(d, 2, oracle, mode="sample", samples=20, seed=42)
     two = check_confusion(d, 2, oracle, mode="sample", samples=20, seed=42)
     assert one.to_dict() == two.to_dict()
@@ -162,7 +293,7 @@ def test_check_confusion_sample_mode_deterministic():
 
 def test_check_confusion_parallel_matches_sequential():
     d = diagram_Fn(2)
-    oracle = forbh_oracle(FnFamily(), size_bound=0)
+    oracle = forbh_oracle(FnFamily())
     seq = check_confusion(d, 2, oracle, jobs=1)
     par = check_confusion(d, 2, oracle, jobs=2)
     assert seq.to_dict() == par.to_dict()
@@ -170,7 +301,7 @@ def test_check_confusion_parallel_matches_sequential():
 
 def test_check_confusion_exhaustive_small_spot_counts():
     # every coloring passes whenever the sweep is exhaustively testable
-    oracle = forbh_oracle(FnFamily(), size_bound=0)
+    oracle = forbh_oracle(FnFamily())
     for n, m in ((2, 2), (2, 3)):
         report = check_confusion(diagram_Fn(n), m, oracle)
         assert report.colorings_tested == 2 ** (m**n)
@@ -184,7 +315,7 @@ def test_bounds_cross_link_with_confusion():
     from finstruct.bounds import BoundsParams, condition_holds, minimal_m
 
     d = diagram_Fn(2)
-    oracle = forbh_oracle(FnFamily(), size_bound=0)
+    oracle = forbh_oracle(FnFamily())
     m = minimal_m(n=2, r=1, t=0, cap=10**6)
     assert m == 4
     assert condition_holds(BoundsParams(1, 0, 2, m)).verdict
@@ -206,7 +337,7 @@ def test_check_confusion_reports_failures():
 def test_oracles_pickle():
     # empty structures are members of both built-in classes
     for oracle, sig in (
-        (forbh_oracle(FnFamily(), size_bound=0), FN_SIGNATURE),
+        (forbh_oracle(FnFamily()), FN_SIGNATURE),
         (consistency_oracle(T2, 2, 3), T2.signature),
     ):
         clone = pickle.loads(pickle.dumps(oracle))
