@@ -204,7 +204,7 @@ class TreeShape:
 class Diagram:
     """A span of two embeddings of a common base into a left and right side."""
 
-    __slots__ = ("base", "left", "right", "left_emb", "right_emb", "_hash")
+    __slots__ = ("base", "left", "right", "left_emb", "right_emb", "_hash", "_skeletons")
 
     def __init__(
         self,
@@ -226,10 +226,17 @@ class Diagram:
         self.left_emb = left_emb
         self.right_emb = right_emb
         self._hash = hash((base, left, right, left_emb, right_emb))
+        self._skeletons: dict[int, _JCSkeleton] = {}  # built on first use, per m
 
     @property
     def order(self) -> int:
         return len(self.base.domain)
+
+    def skeleton(self, m: int) -> "_JCSkeleton":
+        """The glue skeleton of the m-fold blow-up of the base (see ``build_JC``)."""
+        if m not in self._skeletons:
+            self._skeletons[m] = _JCSkeleton(self, m)
+        return self._skeletons[m]
 
     def free_amalgam(self) -> core.AmalgamResult:
         return core.free_amalgam(self.base, self.left_emb, self.left, self.right_emb, self.right)
@@ -259,7 +266,7 @@ class Coloring:
     colored ``"R"``.
     """
 
-    __slots__ = ("spots", "sides", "_index")
+    __slots__ = ("spots", "sides")
 
     def __init__(self, spots: Sequence[ElementMap], sides: Sequence[str]):
         if len(spots) != len(sides):
@@ -269,7 +276,6 @@ class Coloring:
                 raise StructureError(f"bad side {side!r}; expected 'L' or 'R'")
         self.spots = tuple(spots)
         self.sides = tuple(sides)
-        self._index = {spot: i for i, spot in enumerate(self.spots)}
 
     @classmethod
     def from_encoding(cls, spots: Sequence[ElementMap], encoding: int) -> "Coloring":
@@ -285,15 +291,12 @@ class Coloring:
 
     def of(self, spot: ElementMap) -> str:
         try:
-            return self.sides[self._index[spot]]
-        except KeyError:
+            return self.sides[self.spots.index(spot)]
+        except ValueError:
             raise StructureError("spot is not in the coloring's domain") from None
 
     def __len__(self) -> int:
         return len(self.spots)
-
-    def __contains__(self, spot: ElementMap) -> bool:
-        return spot in self._index
 
 
 # ---------------------------------------------------------------------------
@@ -533,98 +536,81 @@ def _fresh_prefix(taken: Iterable[str], base: str) -> str:
     return prefix
 
 
-def _spot_parts(diagram: Diagram, spot: ElementMap, side: str):
-    """Fresh elements and half-rendered tuples of one glued side copy.
+def _spot_parts(diagram: Diagram, spot: ElementMap, side: str, tag: str):
+    """Fresh elements and tuples of one side copy, glued at ``spot``.
 
-    Rendered tuples hold (identifier, is_glued) pairs: glued coordinates are
-    already blow-up identifiers, fresh ones still need the per-copy prefix.
+    Glued elements take their blow-up identifier through the spot; fresh
+    ones are renamed ``tag + x``.  Identifiers are final.
     """
     structure = diagram.left if side == "L" else diagram.right
     emb = diagram.left_emb if side == "L" else diagram.right_emb
-    into_j = {emb[a]: spot[a] for a in diagram.base.domain}
-    fresh = [x for x in structure.domain if x not in into_j]
-    tuples: dict[str, list[tuple[tuple[str, bool], ...]]] = {}
-    for name, ts in structure.relations_items():
-        rendered = [
-            tuple((into_j[x], True) if x in into_j else (x, False) for x in t)
-            for t in ts
-        ]
-        if rendered:
-            tuples[name] = rendered
+    rename = {x: tag + x for x in structure.domain}
+    glued = {emb[a]: spot[a] for a in diagram.base.domain}
+    fresh = [rename[x] for x in structure.domain if x not in glued]
+    rename.update(glued)
+    tuples = {
+        name: [tuple(rename[x] for x in t) for t in ts]
+        for name, ts in structure.relations_items()
+        if ts
+    }
     return fresh, tuples
 
 
 class _JCSkeleton:
-    """Coloring-independent data for gluing side copies onto one blow-up."""
+    """The m-fold blow-up of a diagram's base with every side copy rendered.
 
-    __slots__ = ("j", "spots", "spot_index", "parts", "prefix")
+    ``spots`` are the canonical embeddings of the base into the blow-up
+    ``j``, in their lexicographic order, and ``parts[side][k]`` is the copy
+    of that side glued at spot k.  A fresh element x of that copy is named
+    ``{prefix}{k}.x``.  The prefix is fresh: it is ``g``, lengthened until
+    no blow-up identifier starts with it, so no fresh name equals a blow-up
+    identifier; and k ends at the first ``.``, so copies at different
+    spots never share a name.  Nothing here depends on a coloring.
+    """
+
+    __slots__ = ("j", "spots", "spot_index", "parts")
 
     def __init__(self, diagram: Diagram, m: int):
         emb = morphisms.canonical_embeddings(diagram.base, m)
         self.j = emb.target
         self.spots = emb.members
-        self.spot_index = {spot: i for i, spot in enumerate(self.spots)}
+        self.spot_index = {spot: k for k, spot in enumerate(self.spots)}
+        prefix = _fresh_prefix(self.j.domain, "g")
         self.parts = {
-            side: [_spot_parts(diagram, spot, side) for spot in self.spots]
+            side: [
+                _spot_parts(diagram, spot, side, f"{prefix}{k}.")
+                for k, spot in enumerate(self.spots)
+            ]
             for side in ("L", "R")
         }
-        self.prefix = _fresh_prefix(self.j.domain, "g")
 
 
-_skeleton_cache: dict[tuple[Diagram, int], _JCSkeleton] = {}
-
-
-def _jc_skeleton(diagram: Diagram, m: int) -> _JCSkeleton:
-    key = (diagram, m)
-    if key not in _skeleton_cache:
-        if len(_skeleton_cache) > 8:
-            _skeleton_cache.clear()
-        _skeleton_cache[key] = _JCSkeleton(diagram, m)
-    return _skeleton_cache[key]
-
-
-def build_JC(
-    diagram: Diagram,
-    m: int,
-    coloring: Coloring,
-) -> tuple[Structure, dict[ElementMap, ElementMap]]:
+def build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
     """Blow-up of the base glued with one fresh side copy per colored spot.
 
     Spots must be canonical embeddings of the base into its m-fold blow-up;
-    a partial coloring glues only the spots it covers.  Returns the glued
-    structure and, per spot, the lifted embedding of the base into it.  The
-    blow-up stays an induced substructure, and each lifted embedding is the
-    spot composed with that inclusion.  Fresh copies are named by their
+    a partial coloring glues only the spots it covers.  The glued structure
+    is the union of the blow-up and the chosen copies, which the diagram's
+    skeleton renders once per m.  The blow-up stays an induced
+    substructure, so each spot, read with the glued domain as target, is
+    the lifted embedding of the base.  Fresh copies are named by their
     spot's index in the lexicographic spot order.
     """
-    if m < 1:
-        raise StructureError("blow-up multiplicity must be >= 1")
-    skeleton = _jc_skeleton(diagram, m)
+    skeleton = diagram.skeleton(m)
     try:
-        chosen = sorted(
-            (skeleton.spot_index[spot], side)
+        chosen = [
+            skeleton.parts[side][skeleton.spot_index[spot]]
             for spot, side in zip(coloring.spots, coloring.sides)
-        )
+        ]
     except KeyError:
         raise StructureError("coloring mentions a spot outside the canonical embeddings") from None
-    j = skeleton.j
-    domain = list(j.domain)
-    rels = {name: set(ts) for name, ts in j.relations_items()}
-    prefix = skeleton.prefix
-    for k, side in chosen:
-        fresh, tuples = skeleton.parts[side][k]
-        tag = f"{prefix}{k}."
-        domain.extend(tag + x for x in fresh)
+    domain = list(skeleton.j.domain)
+    rels = {name: set(ts) for name, ts in skeleton.j.relations_items()}
+    for fresh, tuples in chosen:
+        domain.extend(fresh)
         for name, ts in tuples.items():
-            rels[name].update(
-                tuple(x if glued else tag + x for x, glued in t) for t in ts
-            )
-    glued = Structure(diagram.base.signature, domain, rels)
-    lifted = {
-        spot: ElementMap(diagram.base.domain, glued.domain, spot.assignment)
-        for spot in coloring.spots
-    }
-    return glued, lifted
+            rels[name].update(ts)
+    return Structure(diagram.base.signature, domain, rels)
 
 
 # ---------------------------------------------------------------------------

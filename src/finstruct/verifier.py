@@ -17,7 +17,7 @@ from . import core, families, morphisms
 from .consistency import BudgetExceeded, DEFAULT_TABLE_CAP, is_consistent
 from .core import ElementMap, Structure, StructureError, pullback
 from .families import Coloring, Diagram, build_JC
-from .morphisms import HomomorphismSearcher, canonical_embeddings
+from .morphisms import HomomorphismSearcher
 from .rng import SplitMix64
 
 EXHAUSTIVE_SPOT_LIMIT = 20
@@ -178,7 +178,7 @@ def _test_colorings(
     failures = []
     for enc in encodings:
         coloring = Coloring.from_encoding(spots, enc)
-        glued, _ = build_JC(diagram, m, coloring)
+        glued = build_JC(diagram, m, coloring)
         if not oracle.member(glued):
             evidence = oracle.witness(glued) if oracle.witness else None
             failures.append((enc, evidence))
@@ -187,8 +187,7 @@ def _test_colorings(
 
 def _confusion_chunk(args) -> list[tuple[int, Optional[str]]]:
     diagram, m, oracle, encodings = args
-    spots = canonical_embeddings(diagram.base, m).members
-    return _test_colorings(diagram, m, oracle, spots, encodings)
+    return _test_colorings(diagram, m, oracle, diagram.skeleton(m).spots, encodings)
 
 
 def check_confusion(
@@ -203,15 +202,19 @@ def check_confusion(
     """Sweep colorings of the canonical embeddings and test glued membership.
 
     Exhaustive mode iterates all 2^(m^|A|) colorings and is refused beyond
-    2^20 of them; sample mode draws ``samples`` seeded colorings.  The
-    diagram must already witness failure of amalgamation for the oracle.
-    Failures are reported sorted by coloring encoding; the verdict is true
-    when no coloring left the class.
+    2^20 of them, before any spot is built; sample mode draws ``samples``
+    seeded colorings and bounds no spot count.  The diagram must already
+    witness failure of amalgamation for the oracle.  The spots and the
+    glue skeleton are the diagram's own (``Diagram.skeleton``), so worker
+    processes receive them with the pickled diagram.  Failures are reported
+    sorted by coloring encoding; the verdict is true when no coloring left
+    the class.
     """
     if not witnesses_failure(diagram, oracle):
         raise StructureError("diagram does not witness failure of amalgamation")
-    spots = canonical_embeddings(diagram.base, m).members
-    n_spots = len(spots)
+    if m < 1:
+        raise StructureError("blow-up multiplicity must be >= 1")
+    n_spots = m ** diagram.order
     if mode == "exhaustive":
         if n_spots > EXHAUSTIVE_SPOT_LIMIT:
             raise BudgetExceeded(
@@ -227,6 +230,7 @@ def check_confusion(
         mode_doc = {"kind": "sample", "count": samples, "seed": seed}
     else:
         raise StructureError(f"unknown mode {mode!r}")
+    spots = diagram.skeleton(m).spots
 
     if jobs > 1 and len(encodings) >= 4 * jobs:
         chunk_size = max(64, len(encodings) // (jobs * 8))
@@ -303,16 +307,16 @@ def collision_search(
     """First differently-colored spot pair with equal pullback expansions.
 
     ``jplus`` must expand the glued structure of the given coloring (same
-    domain).  Pullbacks are taken along the lifted embeddings of the base;
-    the scan runs in lexicographic spot-pair order.
+    domain).  Pullbacks are taken along the spots, which are the lifted
+    embeddings of the base; the scan runs in lexicographic spot-pair order.
     """
-    glued, lifted = build_JC(diagram, m, coloring)
+    glued = build_JC(diagram, m, coloring)
     if set(jplus.domain) != set(glued.domain):
         raise StructureError("expansion domain does not match the glued structure")
     spots = list(coloring.spots)
     pullbacks = []
     for spot in spots:
-        hat = ElementMap(diagram.base.domain, jplus.domain, lifted[spot].assignment)
+        hat = ElementMap(diagram.base.domain, jplus.domain, spot.assignment)
         pullbacks.append(pullback(hat, jplus))
     for i in range(len(spots)):
         for j in range(i + 1, len(spots)):

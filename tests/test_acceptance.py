@@ -187,7 +187,7 @@ def test_criterion_07_reduced_scale_jc():
     recorded = []
     for enc in range(16):
         coloring = Coloring.from_encoding(spots, enc)
-        glued, _ = build_JC(d, 2, coloring)
+        glued = build_JC(d, 2, coloring)
         solvable = find_homomorphism(glued, T2) is not None
         assert solvable == _lineq2_system_solvable(enc)
         parity_even = bin(enc).count("1") % 2 == 0
@@ -236,13 +236,13 @@ def test_criterion_09_collision_mechanism():
     spots = canonical_embeddings(d.base, 3).members
     rng = SplitMix64(2024)
 
-    def verify(coloring, expansion, lifted):
+    def verify(coloring, expansion):
         pair = collision_search(d, 3, coloring, expansion)
         if pair is None:
             return None
         pi, sigma = pair
-        hat_pi = ElementMap(d.base.domain, expansion.domain, lifted[pi].assignment)
-        hat_sigma = ElementMap(d.base.domain, expansion.domain, lifted[sigma].assignment)
+        hat_pi = ElementMap(d.base.domain, expansion.domain, pi.assignment)
+        hat_sigma = ElementMap(d.base.domain, expansion.domain, sigma.assignment)
         assert pullback(hat_pi, expansion) == pullback(hat_sigma, expansion)
         assert coloring.of(pi) != coloring.of(sigma)
         return pair
@@ -252,16 +252,16 @@ def test_criterion_09_collision_mechanism():
         Coloring.from_encoding(spots, 0),
         Coloring.from_encoding(spots, (1 << len(spots)) - 1),
     ):
-        glued, lifted = build_JC(d, 3, coloring)
-        assert verify(coloring, glued, lifted) is None
+        glued = build_JC(d, 3, coloring)
+        assert verify(coloring, glued) is None
     nonconstant = 0
     while nonconstant < 25:
         enc = rng.next_bits(len(spots))
         if enc in (0, (1 << len(spots)) - 1):
             continue
         coloring = Coloring.from_encoding(spots, enc)
-        glued, lifted = build_JC(d, 3, coloring)
-        assert verify(coloring, glued, lifted) is not None
+        glued = build_JC(d, 3, coloring)
+        assert verify(coloring, glued) is not None
         nonconstant += 1
 
     # seeded random expansions: every returned pair re-verifies
@@ -269,15 +269,15 @@ def test_criterion_09_collision_mechanism():
     for seed in range(20):
         enc = rng.next_bits(len(spots))
         coloring = Coloring.from_encoding(spots, enc)
-        glued, lifted = build_JC(d, 3, coloring)
+        glued = build_JC(d, 3, coloring)
         expansion = random_expansion(glued, ExpansionSpec(2, 1, seed=seed))
-        pair = verify(coloring, expansion, lifted)
+        pair = verify(coloring, expansion)
         if pair is not None:
             returned += 1
         else:
             # absence re-verified: no differently-colored pair pulls back equally
             pulls = [
-                pullback(ElementMap(d.base.domain, expansion.domain, lifted[s].assignment), expansion)
+                pullback(ElementMap(d.base.domain, expansion.domain, s.assignment), expansion)
                 for s in coloring.spots
             ]
             for i in range(len(spots)):
@@ -325,7 +325,7 @@ def test_criterion_10_oracle_equivalence():
     start = time.monotonic()
     sig = template_signature(Z2)
     conflicted = Structure(sig, ["a"], {"value": [("a",)], "C_0": [("a",)], "C_1": [("a",)]})
-    jc_small, _ = build_JC(diagram_lineq(2, Z2), 1, Coloring.from_encoding(
+    jc_small = build_JC(diagram_lineq(2, Z2), 1, Coloring.from_encoding(
         canonical_embeddings(diagram_lineq(2, Z2).base, 1).members, 0b1))
     instances = [
         marking(tree_instance(2), (0,), Z2),

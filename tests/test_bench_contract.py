@@ -1,0 +1,35 @@
+"""The names the traced benchmark (``bench/tracer.py``) patches must exist.
+
+``bench/run.py --trace 1`` wraps library attributes from outside; a rename
+under ``src/`` would otherwise only show when the traced benchmark runs.
+The tracer module is imported and read, never installed.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+from finstruct import families, verifier
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_resolves():
+    for name, places in _tracer().SPANS:
+        owner, attr = places[0]
+        assert callable(inspect.getattr_static(owner, attr)), name
+
+
+def test_sweep_hooks_exist():
+    assert callable(verifier._test_colorings)
+    assert callable(verifier._confusion_chunk)
+    assert isinstance(inspect.getattr_static(families.Coloring, "from_encoding"), classmethod)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finstruct import cli
 from finstruct.core import Signature, Structure
@@ -236,6 +240,18 @@ def test_confuse_budget_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_confuse_exhaustive_refusal_is_one_error_line(tmp_path, capsys):
+    # 3^3 = 27 spots: refused from the spot count, before any spot is built
+    diagram = tmp_path / "d3.json"
+    run(capsys, "gen", "fn", "--n", "3", "--diagram", "-o", str(diagram))
+    code = cli.main(
+        ["confuse", "--diagram", str(diagram), "--m", "3", "--class", "fn", "--jobs", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+
+
 def test_confuse_sample_deterministic(tmp_path, capsys):
     diagram = tmp_path / "d3.json"
     run(capsys, "gen", "fn", "--n", "3", "--diagram", "-o", str(diagram))
@@ -310,3 +326,104 @@ def test_same_inputs_same_bytes(tmp_path, capsys):
     first = run(capsys, "gen", "g", "--shape", "((..)(..))")[1]
     second = run(capsys, "gen", "g", "--shape", "((..)(..))")[1]
     assert first == second
+
+
+_DELETE = object()
+# Keys whose removal always invalidates a document ("relations" may be absent).
+REQUIRED_KEYS = {
+    "signature", "domain", "name", "arity", "base", "left", "right", "leftEmb", "rightEmb"
+}
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+SCALARS = st.one_of(st.integers(), FLOATS, st.none())
+
+
+def _paths(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, path + (i,))
+
+
+def _wrong_type(value) -> st.SearchStrategy:
+    """Replacements that no document accepts in place of ``value``.
+
+    Identifiers and names must be strings, arities non-boolean integers, and
+    containers must stay containers; booleans are left out since ``True``
+    passes as arity 1.
+    """
+    containers = st.one_of(
+        st.lists(st.text(max_size=3), max_size=2),
+        st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2),
+    )
+    if isinstance(value, str):
+        return st.one_of(SCALARS, containers)
+    if isinstance(value, int):
+        return st.one_of(FLOATS, st.none(), st.text(max_size=3), containers)
+    return SCALARS
+
+
+def mutations(doc) -> st.SearchStrategy:
+    """Mutated copies of ``doc``: one node of a wrong type, or one required key gone."""
+    paths = list(_paths(doc))
+
+    def replace(path, new):
+        if not path:
+            return new
+        copy = json.loads(json.dumps(doc))
+        node = copy
+        for step in path[:-1]:
+            node = node[step]
+        if new is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = new
+        return copy
+
+    def node_at(path):
+        node = doc
+        for step in path:
+            node = node[step]
+        return node
+
+    deletable = [p for p in paths if p and p[-1] in REQUIRED_KEYS]
+    retyped = st.sampled_from(paths).flatmap(
+        lambda path: _wrong_type(node_at(path)).map(lambda new: replace(path, new))
+    )
+    deleted = st.sampled_from(deletable).map(lambda path: replace(path, _DELETE))
+    return st.one_of(retyped, deleted)
+
+
+STRUCTURE_DOC = cli.structure_to_doc(gen_Fn(2))
+DIAGRAM_DOC = cli.diagram_to_doc(diagram_Fn(2))
+FUZZ_COMMANDS = {
+    "hom-from": (STRUCTURE_DOC, "hom --from {bad} --to {good}"),
+    "hom-to": (STRUCTURE_DOC, "hom --from {good} --to {bad}"),
+    "consist": (STRUCTURE_DOC, "consist {bad} {good} --k 1 --l 2"),
+    "export-dot": (STRUCTURE_DOC, "export-dot {bad} -o {out}"),
+    "confuse": (DIAGRAM_DOC, "confuse --diagram {bad} --m 2 --class fn --jobs 1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+def test_cli_fuzz_mutated_documents(tmp_path_factory, command):
+    doc, template = FUZZ_COMMANDS[command]
+    work = tmp_path_factory.mktemp(command)
+    good = work / "good.json"
+    good.write_text(cli.dump_canonical(STRUCTURE_DOC))
+    argv = template.format(bad=work / "bad.json", good=good, out=work / "out.dot").split()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(mutations(doc))
+    def check(mutated):
+        (work / "bad.json").write_text(json.dumps(mutated))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == 2, (mutated, err.getvalue())
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error:")
+        assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+
+    check()

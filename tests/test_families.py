@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from itertools import islice
 
 import pytest
 
 from oracles import marking_solution_count
 
-from finstruct import core
+from finstruct import cli, core, morphisms
 from finstruct.core import ElementMap, Structure, StructureError, is_connected
 from finstruct.families import (
     AbelianGroup,
@@ -212,21 +214,20 @@ def test_diagram_g():
 def test_build_jc_empty_coloring_is_blowup():
     d = diagram_Fn(3)
     empty = Coloring([], [])
-    glued, lifted = build_JC(d, 2, empty)
+    glued = build_JC(d, 2, empty)
     assert glued == canonical_embeddings(d.base, 2).target
-    assert lifted == {}
 
 
 def test_build_jc_sizes():
     d = diagram_Fn(3)
     spots = canonical_embeddings(d.base, 2).members
     coloring = Coloring.from_encoding(spots, 0b10110101)
-    glued, _ = build_JC(d, 2, coloring)
+    glued = build_JC(d, 2, coloring)
     assert len(glued.domain) == 6 + 8 * 1
     z2 = AbelianGroup([2])
     dl = diagram_lineq(2, z2)
     spots = canonical_embeddings(dl.base, 2).members
-    glued, _ = build_JC(dl, 2, Coloring.from_encoding(spots, 0b0110))
+    glued = build_JC(dl, 2, Coloring.from_encoding(spots, 0b0110))
     assert len(glued.domain) == 4 + 4 * 2
 
 
@@ -234,10 +235,10 @@ def test_build_jc_blowup_is_induced_and_lifts_check():
     d = diagram_Fn(2)
     emb = canonical_embeddings(d.base, 2)
     coloring = Coloring.from_encoding(emb.members, 0b0101)
-    glued, lifted = build_JC(d, 2, coloring)
+    glued = build_JC(d, 2, coloring)
     assert core.induced_substructure(glued, emb.target.domain) == emb.target
     for spot in emb.members:
-        hat = lifted[spot]
+        hat = ElementMap(d.base.domain, glued.domain, spot.assignment)
         assert check_morphism(hat, d.base, glued, "embedding")
         assert hat.assignment == spot.assignment  # spot composed with inclusion
 
@@ -249,7 +250,7 @@ def test_build_jc_matches_iterated_free_amalgam():
     spots = canonical_embeddings(d.base, 2).members
     for enc in (0b0000, 0b0110, 0b1111):
         coloring = Coloring.from_encoding(spots, enc)
-        glued, _ = build_JC(d, 2, coloring)
+        glued = build_JC(d, 2, coloring)
         current = canonical_embeddings(d.base, 2).target
         lifted = {spot: dict(spot.assignment) for spot in spots}
         for spot, side in zip(coloring.spots, coloring.sides):
@@ -263,6 +264,42 @@ def test_build_jc_matches_iterated_free_amalgam():
                 }
             current = res.amalgam
         assert is_isomorphic(glued, current)
+
+
+# SHA-256 of the canonical JSON list of glued structures, recorded before the
+# glue skeleton rendered its side copies once per diagram
+JC_SHA256 = {
+    ("lineq2", tuple(range(16))): "819c07d1e5252a1d994c45d50e7ca5ef0c3f175ec7d227aa9ab292ac9b9a0e26",
+    ("F4", (0,)): "de780b22828beb663c2314cfddf466ad50ad66ab3423c87329386f9a8e4f30ab",
+    ("F4", (0xFFFF,)): "a2de77d8f1bbae47eabef982fc4148603629a64c8e9a62b6fd2b3afbcdb015c1",
+    ("F4", (0xB6A5,)): "e5773d4d0ef0db229fd0d216c3ae98b57dc8d9711624e65c7d158a5f849438a8",
+}
+
+
+@pytest.mark.parametrize("name, encodings", sorted(JC_SHA256))
+def test_build_jc_bytes_pinned(name, encodings):
+    d = diagram_lineq(2, AbelianGroup([2])) if name == "lineq2" else diagram_Fn(4)
+    spots = canonical_embeddings(d.base, 2).members
+    docs = [
+        cli.structure_to_doc(build_JC(d, 2, Coloring.from_encoding(spots, enc)))
+        for enc in encodings
+    ]
+    digest = hashlib.sha256(cli.dump_canonical(docs).encode("utf-8")).hexdigest()
+    assert digest == JC_SHA256[name, encodings]
+
+
+def test_skeleton_is_memoised_per_m_and_pickled(monkeypatch):
+    d = diagram_Fn(2)
+    two = d.skeleton(2)
+    assert d.skeleton(2) is two and d.skeleton(1) is not two
+    assert two.spots == canonical_embeddings(d.base, 2).members
+    again = pickle.loads(pickle.dumps(d))
+
+    def spy(*args):
+        raise AssertionError("skeleton rebuilt after unpickling")
+
+    monkeypatch.setattr(morphisms, "canonical_embeddings", spy)
+    assert again == d and again.skeleton(2).spots == two.spots
 
 
 def test_gen_pn():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import all_homomorphisms
 
@@ -17,6 +19,7 @@ from finstruct.families import (
     tree_instance,
 )
 from finstruct.morphisms import (
+    HomomorphismSearcher,
     canonical_embeddings,
     check_morphism,
     check_partial_homomorphism,
@@ -227,3 +230,38 @@ def test_embedding_implies_homomorphism_and_injectivity():
         assert check_morphism(f, d.base, target, "embedding")
         assert check_morphism(f, d.base, target, "homomorphism")
         assert f.is_injective
+
+
+MIXED = Signature([("U", 1), ("E", 2), ("T", 3)])
+
+
+@st.composite
+def mixed_structures(draw) -> Structure:
+    """Up to four elements with random unary, binary (loops too) and ternary tuples."""
+    domain = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    element = st.sampled_from(domain)
+    return Structure(
+        MIXED,
+        domain,
+        {
+            "U": draw(st.lists(st.tuples(element), max_size=3)),
+            "E": draw(st.lists(st.tuples(element, element), max_size=5)),
+            "T": draw(st.lists(st.tuples(element, element, element), max_size=3)),
+        },
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mixed_structures(), mixed_structures(), st.integers(1, 3))
+def test_searcher_matches_brute_force(source, target, limit):
+    expected = sorted(sorted(h.items()) for h in all_homomorphisms(source, target))
+    searcher = HomomorphismSearcher(target)
+    found = [sorted(f.items()) for f in searcher.iter_all(source)]
+    assert sorted(found) == expected and len(set(map(tuple, found))) == len(found)
+    first = searcher.find(source)
+    assert (first is None) == (not expected)
+    if first is not None:
+        assert sorted(first.items()) == found[0]
+    assert [sorted(f.items()) for f in searcher.iter_all(source, limit=limit)] == found[:limit]
+    injective = [h for h in expected if len({v for _, v in h}) == len(h)]
+    assert sorted(sorted(f.items()) for f in searcher.iter_injective(source)) == injective

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finstruct import core
+from finstruct import core, morphisms, verifier
 from finstruct.consistency import BudgetExceeded
 from finstruct.core import ElementMap, Structure, StructureError, pullback, quotient
 from finstruct.families import (
@@ -59,7 +59,7 @@ def test_forbh_oracle_fn():
     assert oracle.member(no_source)
     d = diagram_Fn(3)
     spots = canonical_embeddings(d.base, 2).members
-    glued, _ = build_JC(d, 2, Coloring.from_encoding(spots, 0b1010_1010))
+    glued = build_JC(d, 2, Coloring.from_encoding(spots, 0b1010_1010))
     assert oracle.member(glued)
     assert oracle.witness(gen_Fn(3)) is not None
     assert oracle.witness(no_source) is None
@@ -79,7 +79,7 @@ def test_forbh_oracle_agrees_with_single_member_check():
     spots = canonical_embeddings(d.base, 2).members
     f3 = gen_Fn(3)
     for enc in (0, 0b11111111, 0b1100_0011, 0b0101_0101):
-        glued, _ = build_JC(d, 2, Coloring.from_encoding(spots, enc))
+        glued = build_JC(d, 2, Coloring.from_encoding(spots, enc))
         assert oracle.member(glued) == (find_homomorphism(f3, glued) is None)
 
 
@@ -278,6 +278,17 @@ def test_check_confusion_exhaustive_budget():
         check_confusion(d, 3, oracle)  # 27 spots > 20
 
 
+def test_check_confusion_exhaustive_budget_before_spots(monkeypatch):
+    # the refusal must come from the spot count m^|A|, not from built spots
+    def spy(*args):
+        raise AssertionError("canonical embeddings built before the budget check")
+
+    monkeypatch.setattr(morphisms, "canonical_embeddings", spy)
+    monkeypatch.setattr(verifier, "canonical_embeddings", spy, raising=False)
+    with pytest.raises(BudgetExceeded):
+        check_confusion(diagram_Fn(3), 3, forbh_oracle(FnFamily()))
+
+
 def test_check_confusion_sample_mode_deterministic():
     d = diagram_Fn(3)
     oracle = forbh_oracle(FnFamily())
@@ -373,10 +384,10 @@ def test_collision_search_trivial_cases():
     d = diagram_Fn(3)
     spots = canonical_embeddings(d.base, 3).members
     constant = Coloring.from_encoding(spots, 0)
-    glued, _ = build_JC(d, 3, constant)
+    glued = build_JC(d, 3, constant)
     assert collision_search(d, 3, constant, glued) is None
     mixed = Coloring.from_encoding(spots, 0b1)
-    glued, _ = build_JC(d, 3, mixed)
+    glued = build_JC(d, 3, mixed)
     pair = collision_search(d, 3, mixed, glued)
     assert pair is not None
     pi, sigma = pair
@@ -389,14 +400,14 @@ def test_collision_search_verified_on_random_expansions():
     rng = SplitMix64(123)
     for trial in range(3):
         coloring = Coloring.from_encoding(spots, rng.next_bits(len(spots)))
-        glued, lifted = build_JC(d, 3, coloring)
+        glued = build_JC(d, 3, coloring)
         expansion = random_expansion(glued, ExpansionSpec(2, 1, seed=trial))
         pair = collision_search(d, 3, coloring, expansion)
         if pair is None:
             continue
         pi, sigma = pair
-        hat_pi = ElementMap(d.base.domain, expansion.domain, lifted[pi].assignment)
-        hat_sigma = ElementMap(d.base.domain, expansion.domain, lifted[sigma].assignment)
+        hat_pi = ElementMap(d.base.domain, expansion.domain, pi.assignment)
+        hat_sigma = ElementMap(d.base.domain, expansion.domain, sigma.assignment)
         assert pullback(hat_pi, expansion) == pullback(hat_sigma, expansion)
         assert coloring.of(pi) != coloring.of(sigma)
 
