@@ -9,6 +9,7 @@ contract everywhere: 0 success / property holds, 1 checked-and-fails,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -88,12 +89,19 @@ def dump_canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str):
+    """A text handle on path: stdout for ``-``, else the file (UTF-8, LF)."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
+
+
+def _write(path: str, text: str) -> None:
+    with _output(path) as out:
+        out.write(text)
 
 
 def _read_json(path: str) -> dict:
@@ -120,17 +128,23 @@ def structure_to_dot(s: Structure, symmetric: tuple[str, ...] = ()) -> str:
     Binary relations become labeled edges, undirected for the relations
     listed as symmetric (orientation pairs deduplicated); unary predicates
     annotate node labels; wider tuples become auxiliary factor nodes with
-    port-numbered edges to their components.
+    port-numbered edges to their components.  Every identifier and relation
+    name is escaped for its quoted string; the ``\\n`` before unary labels
+    is the one escape left for Graphviz to read.
     """
+
+    def q(text: str) -> str:  # the text of a DOT quoted string
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+
     lines = ["digraph structure {"]
     labels: dict[str, list[str]] = {x: [] for x in s.domain}
     for name, ts in s.relations_items():
         if s.signature.arity(name) == 1:
             for (x,) in sorted(ts):
-                labels[x].append(name)
+                labels[x].append(q(name))
     for x in s.domain:
         suffix = f"\\n{','.join(labels[x])}" if labels[x] else ""
-        lines.append(f'  "{x}" [label="{x}{suffix}"];')
+        lines.append(f'  "{q(x)}" [label="{q(x)}{suffix}"];')
     for name, ts in s.relations_items():
         arity = s.signature.arity(name)
         if arity == 1:
@@ -142,16 +156,16 @@ def structure_to_dot(s: Structure, symmetric: tuple[str, ...] = ()) -> str:
                     if (v, u) in seen:
                         continue
                     seen.add((u, v))
-                    lines.append(f'  "{u}" -> "{v}" [label="{name}", dir=none];')
+                    lines.append(f'  "{q(u)}" -> "{q(v)}" [label="{q(name)}", dir=none];')
             else:
                 for (u, v) in sorted(ts):
-                    lines.append(f'  "{u}" -> "{v}" [label="{name}"];')
+                    lines.append(f'  "{q(u)}" -> "{q(v)}" [label="{q(name)}"];')
         else:
             for index, t in enumerate(sorted(ts)):
-                factor = f"{name}#{index}"
-                lines.append(f'  "{factor}" [shape=point, label="{name}"];')
+                factor = q(f"{name}#{index}")
+                lines.append(f'  "{factor}" [shape=point, label="{q(name)}"];')
                 for port, x in enumerate(t, start=1):
-                    lines.append(f'  "{factor}" -> "{x}" [label="{port}"];')
+                    lines.append(f'  "{factor}" -> "{q(x)}" [label="{port}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -250,7 +264,8 @@ def _cmd_consist(args) -> int:
         trace = consistency.spoiler_trace(instance, template, args.k, args.l)
         consistent = trace is None
         if not consistent:
-            _write(args.trace, dump_canonical(_trace_to_doc(trace.root)))
+            with _output(args.trace) as out:
+                _write_trace(out, trace.root)
     else:
         consistent = consistency.is_consistent(instance, template, args.k, args.l)
     if consistent:
@@ -261,6 +276,7 @@ def _cmd_consist(args) -> int:
 
 
 def _trace_to_doc(node: consistency.TraceNode) -> dict:
+    """The trace as a document tree; ``_write_trace`` writes its canonical text."""
     return {
         "pebbles": list(node.pebbles),
         "values": list(node.values),
@@ -271,6 +287,48 @@ def _trace_to_doc(node: consistency.TraceNode) -> dict:
             for values, child in node.children
         ],
     }
+
+
+def _write_trace(out, root: consistency.TraceNode) -> None:
+    """Write ``dump_canonical(_trace_to_doc(root))`` to out as it is rendered.
+
+    The strategy DAG expands to a tree that can be far larger than the DAG,
+    so no document is built: each node's fixed-shape text (sorted keys,
+    two-space indents, ``[]`` for an empty list) is written depth first,
+    and every string goes through the escaper ``json.dumps`` uses with
+    ``ensure_ascii=False``.
+    """
+    enc = json.encoder.encode_basestring
+
+    def strings(items, pad: str) -> str:
+        if not items:
+            return "[]"
+        sep = ",\n" + pad + "  "
+        return "[\n" + pad + "  " + sep.join(map(enc, items)) + "\n" + pad + "]"
+
+    def node(n: consistency.TraceNode, pad: str) -> None:
+        inner = pad + "  "
+        entry = inner + "  "
+        field = entry + "  "
+        out.write(f'{{\n{inner}"action": {enc(n.action)},\n{inner}"children": ')
+        if n.children:
+            sep = "[\n"
+            for reply, child in n.children:
+                out.write(f'{sep}{entry}{{\n{field}"node": ')
+                node(child, field)
+                out.write(f',\n{field}"reply": {strings(reply, field)}\n{entry}}}')
+                sep = ",\n"
+            out.write(f"\n{inner}],\n")
+        else:
+            out.write("[],\n")
+        out.write(
+            f'{inner}"pebbles": {strings(n.pebbles, inner)},\n'
+            f'{inner}"target": {strings(n.target, inner)},\n'
+            f'{inner}"values": {strings(n.values, inner)}\n{pad}}}'
+        )
+
+    node(root, "")
+    out.write("\n")
 
 
 def _oracle_for(spec: str) -> verifier.ClassOracle:

@@ -5,8 +5,9 @@ the set of surviving assignments into the template.  Starting from all
 partial homomorphisms, assignments are deleted when a restriction dies or
 when a required extension to some superset disappears; the fixpoint family
 is empty exactly when the empty assignment is deleted.  The deletion order
-is deterministic and the recorded deletion reasons drive the extraction of
-a spoiler strategy tree for inconsistent instances.
+is deterministic.  When a trace is asked for, the fixpoint also records why
+each assignment died, and those reasons drive the extraction of a spoiler
+strategy tree for inconsistent instances.
 
 Each subset's surviving assignments are one bit set: an assignment packs
 into an integer with one base-|B| digit per subset position, and is present
@@ -150,7 +151,9 @@ class _Fixpoint:
     and a size has at most 2**size patterns.
     """
 
-    def __init__(self, a: Structure, b: Structure, k: int, l: int, max_entries: int):
+    def __init__(
+        self, a: Structure, b: Structure, k: int, l: int, max_entries: int, trace: bool = False
+    ):
         _validate_args(a, b, k, l)
         self.a = a
         self.b = b
@@ -162,7 +165,8 @@ class _Fixpoint:
         self.mask_memo: dict[tuple[int, tuple[int, ...]], tuple[int, list[int], list[int]]] = {}
         self._candidates()
         self._subsets(max_entries)
-        self.reasons: dict[tuple[int, int], tuple] = {}
+        # why each deleted assignment died; only spoiler_trace reads it
+        self.reasons: Optional[dict[tuple[int, int], tuple]] = {} if trace else None
 
     # -- construction -------------------------------------------------
 
@@ -275,10 +279,12 @@ class _Fixpoint:
         table = self.table
         subset_elems, subset_id = self.subset_elems, self.subset_id
         queue: deque[tuple[int, int]] = deque()
+        reasons = self.reasons
 
         def delete(s_id: int, h: int, reason: tuple) -> None:
             table[s_id] ^= 1 << h
-            self.reasons[(s_id, h)] = reason
+            if reasons is not None:
+                reasons[(s_id, h)] = reason
             queue.append((s_id, h))
 
         # initial extension-support pass over assignments of size <= k
@@ -413,7 +419,7 @@ def spoiler_trace(
     max_entries: int = DEFAULT_TABLE_CAP,
 ) -> Optional[GameTrace]:
     """A validated spoiler strategy tree, present iff the instance is inconsistent."""
-    fix = _Fixpoint(a, b, k, l, max_entries)
+    fix = _Fixpoint(a, b, k, l, max_entries, trace=True)
     initial = list(fix.table)  # ints are immutable: this shares, not copies
     if fix.run():
         return None

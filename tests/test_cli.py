@@ -322,6 +322,43 @@ def test_export_dot_factor_nodes(tmp_path, capsys):
     assert '"W#0"' in text
 
 
+def _quotes_balanced(line: str) -> bool:
+    """Every DOT quoted string on the line closes: escapes drop out first."""
+    return line.replace("\\\\", "").replace('\\"', "").count('"') % 2 == 0
+
+
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    odd = Structure(
+        Signature([("E", 2), ('Q"', 1), ("R\\", 2), ("W", 3)]),
+        ['a"b', "c\\d", "e\\"],
+        {
+            "E": [('a"b', "c\\d")],
+            'Q"': [("e\\",)],
+            "R\\": [("c\\d", "e\\")],
+            "W": [('a"b', "c\\d", "e\\")],
+        },
+    )
+    path = tmp_path / "odd.json"
+    path.write_text(cli.dump_canonical(cli.structure_to_doc(odd)))
+    code, text = run(capsys, "export-dot", str(path), "--symmetric", "E")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines == [
+        "digraph structure {",
+        '  "a\\"b" [label="a\\"b"];',
+        '  "c\\\\d" [label="c\\\\d"];',
+        '  "e\\\\" [label="e\\\\\\nQ\\""];',
+        '  "a\\"b" -> "c\\\\d" [label="E", dir=none];',
+        '  "c\\\\d" -> "e\\\\" [label="R\\\\"];',
+        '  "W#0" [shape=point, label="W"];',
+        '  "W#0" -> "a\\"b" [label="1"];',
+        '  "W#0" -> "c\\\\d" [label="2"];',
+        '  "W#0" -> "e\\\\" [label="3"];',
+        "}",
+    ]
+    assert all(_quotes_balanced(line) for line in lines)
+
+
 def test_same_inputs_same_bytes(tmp_path, capsys):
     first = run(capsys, "gen", "g", "--shape", "((..)(..))")[1]
     second = run(capsys, "gen", "g", "--shape", "((..)(..))")[1]

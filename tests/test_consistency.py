@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import game_consistent
 
-from finstruct import cli
+from finstruct import cli, consistency
 from finstruct.consistency import (
     BudgetExceeded,
     GameTrace,
@@ -301,3 +302,95 @@ def test_trace_bytes_pinned(n):
     assert trace is not None
     text = cli.dump_canonical(cli._trace_to_doc(trace.root))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRACE_SHA256[n]
+
+
+@pytest.mark.parametrize("n", sorted(TRACE_SHA256))
+def test_cli_trace_bytes_pinned(tmp_path, capsys, n):
+    amalgam, template, out = tmp_path / "am.json", tmp_path / "t2.json", tmp_path / "trace.json"
+    amalgam.write_text(cli.dump_canonical(cli.structure_to_doc(lineq_amalgam(n))))
+    template.write_text(cli.dump_canonical(cli.structure_to_doc(T2)))
+    argv = ["consist", str(amalgam), str(template), "--k", "2", "--l", "3"]
+    assert cli.main(argv + ["--trace", str(out)]) == 1
+    assert capsys.readouterr().out == "inconsistent\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRACE_SHA256[n]
+
+    assert cli.main(argv + ["--trace", "-"]) == 1
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8") + "inconsistent\n"
+
+
+def test_verdict_paths_record_no_reasons(monkeypatch):
+    fixpoints = []
+    real_run = consistency._Fixpoint.run
+
+    def run(self):
+        fixpoints.append(self)
+        return real_run(self)
+
+    monkeypatch.setattr(consistency._Fixpoint, "run", run)
+    amalgam = lineq_amalgam(2)
+    assert not is_consistent(amalgam, T2, 2, 3)
+    assert kl_family(amalgam, T2, 2, 3) is None
+    assert kl_family(marking(tree_instance(2), (0,), Z2), T2, 2, 3) is not None
+    assert len(fixpoints) == 3 and not any(fix.reasons for fix in fixpoints)
+    assert spoiler_trace(amalgam, T2, 2, 3) is not None
+    assert fixpoints[-1].reasons
+
+
+def _write_trace_text(root: TraceNode) -> str:
+    out = io.StringIO()
+    cli._write_trace(out, root)
+    return out.getvalue()
+
+
+# identifier characters the JSON escaper treats specially, or that are not ASCII
+ODD_NAMES = st.text(alphabet='x"\\\té\u2028', min_size=1, max_size=3)
+
+
+def relabel(s: Structure, names: list[str]) -> Structure:
+    rename = dict(zip(s.domain, names))
+    relations = {
+        name: [tuple(rename[x] for x in t) for t in ts] for name, ts in s.relations_items()
+    }
+    return Structure(s.signature, names, relations)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    z2_instances(),
+    st.lists(ODD_NAMES, min_size=4, max_size=4, unique=True),
+    st.lists(ODD_NAMES, min_size=len(T2.domain), max_size=len(T2.domain), unique=True),
+    st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]),
+)
+def test_write_trace_matches_document(instance, names, template_names, kl):
+    instance = relabel(instance, names[: len(instance.domain)])
+    template = relabel(T2, template_names)
+    trace = spoiler_trace(instance, template, *kl)
+    assume(trace is not None)
+    expected = cli.dump_canonical(cli._trace_to_doc(trace.root))
+    assert _write_trace_text(trace.root) == expected
+
+
+ODD_TUPLES = st.lists(ODD_NAMES, max_size=3).map(tuple)
+ACTIONS = st.sampled_from(["extend", "retract"])
+TRACE_LEAVES = st.builds(TraceNode, ODD_TUPLES, ODD_TUPLES, ACTIONS, ODD_TUPLES, st.just(()))
+TRACE_TREES = st.recursive(
+    TRACE_LEAVES,
+    lambda nodes: st.builds(
+        TraceNode,
+        ODD_TUPLES,
+        ODD_TUPLES,
+        ACTIONS,
+        ODD_TUPLES,
+        st.lists(st.tuples(ODD_TUPLES, nodes), max_size=3).map(tuple),
+    ),
+    max_leaves=12,
+)
+EMPTY_LEAF = TraceNode((), (), "extend", (), ())
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(TRACE_TREES)
+@example(EMPTY_LEAF)
+@example(TraceNode((), (), "extend", ("a",), (((), EMPTY_LEAF), (("0",), EMPTY_LEAF))))
+def test_write_trace_matches_document_hand_built(root):
+    assert _write_trace_text(root) == cli.dump_canonical(cli._trace_to_doc(root))
