@@ -28,21 +28,20 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def atomic_type_count(t: int, r: int, include_equalities: bool = True) -> int:
+def atomic_type_count(t: int, r: int) -> int:
     """Upper bound on atomic types of (r+1)-tuples for t predicates of arity <= r.
 
     Counted as equality patterns on r+1 coordinates (Bell(r+1)) times the
     subsets of coordinate-index tuples for t predicates at the maximizing
-    arity r: Bell(r+1) * 2^(t*(r+1)^r).  Whether equality types belong in
-    the count is settable; they are included by default, and a larger count
-    only strengthens the condition, never weakens a positive verdict.
+    arity r: Bell(r+1) * 2^(t*(r+1)^r).  Counting the equality types makes
+    the bound larger, which only strengthens the condition, never weakens a
+    positive verdict.
     """
     if t < 0:
         raise StructureError("predicate count must be >= 0")
     if r < 1:
         raise StructureError("arity bound must be >= 1")
-    equality_types = bell_number(r + 1) if include_equalities else 1
-    return equality_types * 2 ** (t * (r + 1) ** r)
+    return bell_number(r + 1) * 2 ** (t * (r + 1) ** r)
 
 
 def log_ceil2(q: int) -> int:
@@ -87,15 +86,13 @@ class BoundsReport:
         "proof_partial_spot_count",
         "threshold",
         "verdict",
-        "include_equalities",
     )
 
-    def __init__(self, params: BoundsParams, include_equalities: bool = True):
+    def __init__(self, params: BoundsParams):
         if params.r > params.n:
             raise StructureError("restriction arity exceeds the base order")
         self.params = params
-        self.include_equalities = include_equalities
-        self.q = atomic_type_count(params.t, params.r, include_equalities)
+        self.q = atomic_type_count(params.t, params.r)
         self.p = log_ceil2(self.q)
         self.spot_count = params.m**params.n
         self.partial_spot_count = comb(params.n, params.r) * params.m**params.r
@@ -109,7 +106,7 @@ class BoundsReport:
             "t": self.params.t,
             "n": self.params.n,
             "m": self.params.m,
-            "include_equalities": self.include_equalities,
+            "include_equalities": True,
             "q": str(self.q),
             "p": self.p,
             "spot_count": str(self.spot_count),
@@ -120,18 +117,12 @@ class BoundsReport:
         }
 
 
-def condition_holds(params: BoundsParams, include_equalities: bool = True) -> BoundsReport:
+def condition_holds(params: BoundsParams) -> BoundsReport:
     """Evaluate the threshold condition exactly."""
-    return BoundsReport(params, include_equalities)
+    return BoundsReport(params)
 
 
-def minimal_m(
-    n: int,
-    r: int,
-    t: int,
-    cap: int,
-    include_equalities: bool = True,
-) -> Optional[int]:
+def minimal_m(n: int, r: int, t: int, cap: int) -> Optional[int]:
     """Least multiplicity m <= cap satisfying the condition, or None.
 
     A true verdict is upward closed in m (the spot count scales by a higher
@@ -144,7 +135,7 @@ def minimal_m(
         return None
 
     def holds(m: int) -> bool:
-        return condition_holds(BoundsParams(r, t, n, m), include_equalities).verdict
+        return condition_holds(BoundsParams(r, t, n, m)).verdict
 
     lo = 1
     hi: Optional[int] = None

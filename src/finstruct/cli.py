@@ -471,7 +471,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (StructureError, consistency.BudgetExceeded, OSError, json.JSONDecodeError) as exc:
+    except (
+        StructureError, consistency.BudgetExceeded, OSError, json.JSONDecodeError, RecursionError
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

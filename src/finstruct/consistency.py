@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, product
-from operator import mul
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import morphisms
 from .core import ElementMap, SignatureMismatch, Structure, StructureError
@@ -58,16 +57,6 @@ class ConsistencyFamily:
         self.l = l
         self.table = table
 
-    def assignments(self, subset: Sequence[str]) -> list[ElementMap]:
-        key = tuple(sorted(subset))
-        return [
-            ElementMap(self.instance.domain, self.template.domain, dict(zip(key, values)))
-            for values in sorted(self.table.get(key, frozenset()))
-        ]
-
-    def entry_count(self) -> int:
-        return sum(len(v) for v in self.table.values())
-
 
 class TraceNode:
     """One spoiler move: the position held, the action, and all replies.
@@ -103,17 +92,6 @@ class GameTrace:
     def __init__(self, root: TraceNode):
         self.root = root
 
-    def node_count(self) -> int:
-        seen: set[int] = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.extend(child for _, child in node.children)
-        return len(seen)
-
 
 def _validate_args(a: Structure, b: Structure, k: int, l: int) -> None:
     if a.signature != b.signature:
@@ -144,11 +122,22 @@ class _Fixpoint:
     digits (with these digits 0) and ``stems[h]`` writes h's digits into
     ``positions``, so the two never carry into each other.  ``proj[g]`` is
     the digits of g at ``positions``, packed.  Masks range over all base
-    values of the free digits, and a table only ever holds candidate values,
-    so ``table[Y] & free << stems[h]`` is exactly the set of surviving
-    extensions of h to Y, and h has support in Y iff it is nonzero.  A
-    pattern costs base**size bits and at most 2 x base**size list entries,
-    and a size has at most 2**size patterns.
+    values of the free digits, and every digit of a bit set in a table is a
+    template value, so ``table[Y] & free << stems[h]`` is exactly the set of
+    surviving extensions of h to Y, and h has support in Y iff it is
+    nonzero.  A pattern costs base**size bits and at most 2 x base**size
+    list entries, and a size has at most 2**size patterns.
+
+    The first table of Y is the AND, over the instance tuples inside Y, of
+    each tuple's mask: ``free << stems[h]`` ORed over the template tuples
+    that fit it, with ``positions`` the distinct positions of its elements
+    in Y and h the template digits there.  A template tuple fits when it
+    agrees wherever the instance tuple repeats an element.  A partial
+    homomorphism on Y is exactly an assignment that satisfies every instance
+    tuple inside Y; each tuple's condition reads only the digits at its own
+    positions, and its mask holds every assignment of the other digits.  So
+    the AND of the masks, started from all |B|**|Y| assignments, is the set
+    of partial homomorphisms on Y, unary tuples included.
     """
 
     def __init__(
@@ -163,60 +152,54 @@ class _Fixpoint:
         self.b_ids = b.domain
         self.base = max(len(self.b_ids), 1)
         self.mask_memo: dict[tuple[int, tuple[int, ...]], tuple[int, list[int], list[int]]] = {}
-        self._candidates()
+        self.tuple_memo: dict[tuple[str, int, tuple[int, ...]], int] = {}
+        self._constraints()
         self._subsets(max_entries)
         # why each deleted assignment died; only spoiler_trace reads it
         self.reasons: Optional[dict[tuple[int, int], tuple]] = {} if trace else None
 
     # -- construction -------------------------------------------------
 
-    def _candidates(self) -> None:
-        a, b = self.a, self.b
-        n_b = len(self.b_ids)
-        cand: list[list[int]] = [list(range(n_b)) for _ in self.a_ids]
+    def _constraints(self) -> None:
+        """Index each instance tuple, as element indices, under its least
+        element, and each template relation as value-index tuples."""
         pos = {x: i for i, x in enumerate(self.a_ids)}
         b_pos = {x: i for i, x in enumerate(self.b_ids)}
-        for name, ts in a.relations_items():
-            if a.signature.arity(name) != 1:
-                continue
-            allowed = {b_pos[v] for (v,) in b.relation(name)}
-            for (x,) in ts:
-                cand[pos[x]] = [j for j in cand[pos[x]] if j in allowed]
-        self.cand = cand
-        # constraint tuples as (relation index set, element-index tuple)
-        self.rel_sets: dict[str, frozenset[tuple[int, ...]]] = {}
-        self.tuples_by_elem: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in self.a_ids]
-        for name, ts in a.relations_items():
-            if a.signature.arity(name) == 1:
-                continue
-            self.rel_sets[name] = frozenset(
-                tuple(b_pos[x] for x in t) for t in b.relation(name)
-            )
+        self.b_rows: dict[str, list[tuple[int, ...]]] = {}
+        self.tuples_by_least: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in self.a_ids]
+        for name, ts in self.a.relations_items():
+            self.b_rows[name] = [tuple(b_pos[v] for v in t) for t in self.b.relation(name)]
             for t in ts:
                 idx = tuple(pos[x] for x in t)
-                for i in set(idx):
-                    self.tuples_by_elem[i].append((name, idx))
+                self.tuples_by_least[min(idx)].append((name, idx))
+
+    def _tuple_mask(self, name: str, size: int, at: tuple[int, ...]) -> int:
+        """Every assignment on a size-element subset that maps the instance
+        tuple at subset positions ``at`` into the template relation ``name``."""
+        key = (name, size, at)
+        found = self.tuple_memo.get(key)
+        if found is None:
+            positions = tuple(sorted(set(at)))
+            free, stems, _ = self._masks(size, positions)
+            found = 0
+            for row in self.b_rows[name]:
+                digit = dict(zip(at, row))
+                # a repeated element needs equal template values
+                if all(digit[p] == v for p, v in zip(at, row)):
+                    h = sum(digit[p] * self.base**r for r, p in enumerate(positions))
+                    found |= free << stems[h]
+            self.tuple_memo[key] = found
+        return found
 
     def _initial_table(self, elems: tuple[int, ...]) -> int:
         """The partial homomorphisms on one subset, as a bit set."""
-        elem_set = set(elems)
         index_of = {e: i for i, e in enumerate(elems)}
-        constraints: list[tuple[frozenset, tuple[int, ...]]] = []
-        seen: set[tuple[str, tuple[int, ...]]] = set()
+        table = (1 << len(self.b_ids) ** len(elems)) - 1
         for e in elems:
-            for name, idx in self.tuples_by_elem[e]:
-                if (name, idx) in seen or not set(idx) <= elem_set:
-                    continue
-                seen.add((name, idx))
-                constraints.append((self.rel_sets[name], tuple(index_of[i] for i in idx)))
-        table = 0
-        powers = [self.base**r for r in range(len(elems))]
-        for values in product(*(self.cand[e] for e in elems)):
-            for rel, positions in constraints:
-                if tuple(map(values.__getitem__, positions)) not in rel:
-                    break
-            else:
-                table |= 1 << sum(map(mul, values, powers))
+            for name, idx in self.tuples_by_least[e]:
+                if all(i in index_of for i in idx):
+                    at = tuple(map(index_of.__getitem__, idx))
+                    table &= self._tuple_mask(name, len(elems), at)
         return table
 
     def _subsets(self, max_entries: int) -> None:
@@ -438,7 +421,7 @@ def validate_trace(trace: GameTrace, a: Structure, b: Structure, k: int, l: int)
         return False
     if trace.root.pebbles != ():
         return False
-    checked: set[int] = set()
+    checked: set[TraceNode] = set()
 
     def reply_values(position: dict[str, str], target: tuple[str, ...]) -> list[tuple[str, ...]]:
         free = [x for x in target if x not in position]
@@ -452,7 +435,7 @@ def validate_trace(trace: GameTrace, a: Structure, b: Structure, k: int, l: int)
         return out
 
     def walk(node: TraceNode) -> bool:
-        if id(node) in checked:
+        if node in checked:
             return True
         if len(node.pebbles) != len(node.values) or len(node.pebbles) > l:
             return False
@@ -489,7 +472,7 @@ def validate_trace(trace: GameTrace, a: Structure, b: Structure, k: int, l: int)
                 return False
         else:
             return False
-        checked.add(id(node))
+        checked.add(node)
         return True
 
     return walk(trace.root)

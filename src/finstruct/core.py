@@ -139,16 +139,9 @@ class Structure:
         except KeyError:
             raise StructureError(f"unknown relation symbol: {name!r}") from None
 
-    def tuples(self, name: str) -> list[tuple[str, ...]]:
-        """Tuples of ``name`` in sorted order (deterministic iteration)."""
-        return sorted(self._relations[name])
-
     def relations_items(self) -> Iterator[tuple[str, frozenset[tuple[str, ...]]]]:
         for name in self._signature.names:
             yield name, self._relations[name]
-
-    def total_tuple_count(self) -> int:
-        return sum(len(ts) for ts in self._relations.values())
 
     def __len__(self) -> int:
         return len(self._domain)
@@ -226,9 +219,6 @@ class ElementMap:
 
     def __getitem__(self, key: str) -> str:
         return self._assignment[key]
-
-    def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        return self._assignment.get(key, default)
 
     def __contains__(self, key: str) -> bool:
         return key in self._assignment

@@ -150,11 +150,6 @@ class TreeShape:
             return 1
         return self.left.leaf_count() + self.right.leaf_count()
 
-    def node_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.node_count() + self.right.node_count()
-
     def paths(self) -> Iterator[tuple[str, bool]]:
         """All (path, is_leaf) pairs, root path being the empty string."""
         stack = [("", self)]
@@ -281,13 +276,6 @@ class Coloring:
     def from_encoding(cls, spots: Sequence[ElementMap], encoding: int) -> "Coloring":
         sides = ["R" if (encoding >> i) & 1 else "L" for i in range(len(spots))]
         return cls(spots, sides)
-
-    def encoding(self) -> int:
-        enc = 0
-        for i, side in enumerate(self.sides):
-            if side == "R":
-                enc |= 1 << i
-        return enc
 
     def of(self, spot: ElementMap) -> str:
         try:

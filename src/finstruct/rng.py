@@ -45,9 +45,6 @@ class SplitMix64:
             out |= self.next_bit() << i
         return out
 
-    def choice(self, seq):
-        return seq[self.next_below(len(seq))]
-
     def sample_indices(self, n: int, count: int) -> list[int]:
         """``count`` distinct indices below ``n`` in draw order."""
         if count > n:

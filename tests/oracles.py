@@ -3,7 +3,8 @@
 Nothing here reuses the library's search or fixpoint machinery: maps are
 enumerated as raw products and checked against the definitions directly,
 and the game oracle computes the spoiler-win set as a least fixpoint over
-the explicit move graph.
+the explicit move graph.  ``mixed_structures`` draws the small random
+structures the property tests feed to both sides.
 """
 
 from __future__ import annotations
@@ -11,8 +12,29 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, product
 
-from finstruct.core import Structure
+from hypothesis import strategies as st
+
+from finstruct.core import ElementMap, Signature, Structure
 from finstruct.families import AbelianGroup, TreeShape
+from finstruct.morphisms import check_partial_homomorphism
+
+MIXED = Signature([("U", 1), ("E", 2), ("T", 3)])
+
+
+@st.composite
+def mixed_structures(draw) -> Structure:
+    """Up to four elements with random unary, binary (loops too) and ternary tuples."""
+    domain = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    element = st.sampled_from(domain)
+    return Structure(
+        MIXED,
+        domain,
+        {
+            "U": draw(st.lists(st.tuples(element), max_size=3)),
+            "E": draw(st.lists(st.tuples(element, element), max_size=5)),
+            "T": draw(st.lists(st.tuples(element, element, element), max_size=3)),
+        },
+    )
 
 
 def preserves_tuples(assign: dict[str, str], a: Structure, b: Structure) -> bool:
@@ -43,6 +65,25 @@ def all_partial_homomorphisms(a: Structure, b: Structure, max_size: int):
                 assign = dict(zip(subset, choice))
                 if preserves_tuples(assign, a, b):
                     yield assign
+
+
+def partial_homomorphism_tables(
+    a: Structure, b: Structure, max_size: int
+) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
+    """For each subset of at most max_size elements (a sorted identifier
+    tuple), every assignment of it that check_partial_homomorphism accepts,
+    as value tuples aligned with the subset."""
+    tables = {}
+    for size in range(min(max_size, len(a.domain)) + 1):
+        for subset in combinations(a.domain, size):
+            tables[subset] = [
+                values
+                for values in product(b.domain, repeat=size)
+                if check_partial_homomorphism(
+                    ElementMap(a.domain, b.domain, dict(zip(subset, values))), a, b
+                )
+            ]
+    return tables
 
 
 def game_consistent(a: Structure, b: Structure, k: int, l: int) -> bool:

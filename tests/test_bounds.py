@@ -23,7 +23,6 @@ def test_atomic_type_count():
     assert atomic_type_count(0, 1) == 2
     assert atomic_type_count(1, 1) == 8
     assert atomic_type_count(2, 2) == 5 * 2**18
-    assert atomic_type_count(1, 1, include_equalities=False) == 4
     with pytest.raises(StructureError):
         atomic_type_count(-1, 1)
     with pytest.raises(StructureError):

@@ -205,6 +205,24 @@ def test_malformed_document_exit_2(tmp_path, capsys, command, doc):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_shape_exit_2(capsys):
+    # a valid left comb 3000 levels deep: (((..).)...)
+    shape = "(" * 3000 + "." + ".)" * 3000
+    code = cli.main(["gen", "g", "--shape", shape])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_deeply_nested_document_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code = cli.main(["export-dot", str(deep)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_confuse_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
     diagram = tmp_path / "d2.json"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import game_consistent
+from oracles import MIXED, game_consistent, mixed_structures, partial_homomorphism_tables
 
 from finstruct import cli, consistency
 from finstruct.consistency import (
@@ -286,6 +286,27 @@ def test_fixpoint_matches_game_oracle(instance, kl):
     else:
         trace = spoiler_trace(instance, T2, k, l)
         assert trace is not None and validate_trace(trace, instance, T2, k, l)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    mixed_structures(),
+    st.one_of(st.just(Structure(MIXED, [], {})), mixed_structures()),
+    st.integers(1, 3),
+)
+def test_initial_tables_match_brute_force(instance, template, l):
+    fix = consistency._Fixpoint(instance, template, 1, l, consistency.DEFAULT_TABLE_CAP)
+    base = max(len(template.domain), 1)
+    digit = {v: i for i, v in enumerate(template.domain)}
+    expected = {
+        subset: sum(1 << sum(digit[v] * base**r for r, v in enumerate(values)) for values in rows)
+        for subset, rows in partial_homomorphism_tables(instance, template, l).items()
+    }
+    got = {
+        tuple(instance.domain[e] for e in elems): table
+        for elems, table in zip(fix.subset_elems, fix.table)
+    }
+    assert got == expected
 
 
 # SHA-256 of the canonical trace documents of the lineq Z2 free amalgams at

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_homomorphisms
+from oracles import all_homomorphisms, mixed_structures
 
 from finstruct.core import ElementMap, Signature, SignatureMismatch, Structure, StructureError
 from finstruct.families import (
@@ -230,25 +230,6 @@ def test_embedding_implies_homomorphism_and_injectivity():
         assert check_morphism(f, d.base, target, "embedding")
         assert check_morphism(f, d.base, target, "homomorphism")
         assert f.is_injective
-
-
-MIXED = Signature([("U", 1), ("E", 2), ("T", 3)])
-
-
-@st.composite
-def mixed_structures(draw) -> Structure:
-    """Up to four elements with random unary, binary (loops too) and ternary tuples."""
-    domain = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
-    element = st.sampled_from(domain)
-    return Structure(
-        MIXED,
-        domain,
-        {
-            "U": draw(st.lists(st.tuples(element), max_size=3)),
-            "E": draw(st.lists(st.tuples(element, element), max_size=5)),
-            "T": draw(st.lists(st.tuples(element, element, element), max_size=3)),
-        },
-    )
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
