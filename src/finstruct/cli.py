@@ -232,7 +232,7 @@ def _cmd_hom(args) -> int:
     a = load_structure(args.src)
     b = load_structure(args.dst)
     kind = args.kind
-    if kind == "isomorphism" and not args.all:
+    if kind == "isomorphism" and not (args.all or args.count):
         return EXIT_OK if is_isomorphic(a, b) else EXIT_FAIL
     if kind == "embedding":
         maps = list(enumerate_embeddings(a, b).members)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, product
+from math import comb
 from typing import Optional
 
 from . import morphisms
@@ -111,7 +112,8 @@ class _Fixpoint:
     subset is packed into an int, one base-|B| digit per subset position
     (position r weighs base**r).  Each subset's table is one int whose bit h
     is set while packed assignment h survives.  ``max_entries`` caps the
-    initial entries, counted while the tables are built; the tables
+    number of subsets, counted before any is listed, and the initial
+    entries, counted while the tables are built; the tables
     themselves take (number of subsets) x base**l bits, up to twice that
     when spoiler_trace keeps the tables from before the fixpoint.
 
@@ -162,15 +164,10 @@ class _Fixpoint:
 
     def _constraints(self) -> None:
         """Index each instance tuple, as element indices, under its least
-        element, and each template relation as value-index tuples."""
-        pos = {x: i for i, x in enumerate(self.a_ids)}
-        b_pos = {x: i for i, x in enumerate(self.b_ids)}
-        self.b_rows: dict[str, list[tuple[int, ...]]] = {}
+        element."""
         self.tuples_by_least: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in self.a_ids]
-        for name, ts in self.a.relations_items():
-            self.b_rows[name] = [tuple(b_pos[v] for v in t) for t in self.b.relation(name)]
-            for t in ts:
-                idx = tuple(pos[x] for x in t)
+        for name in self.a.signature.names:
+            for idx in self.a.positions(name):
                 self.tuples_by_least[min(idx)].append((name, idx))
 
     def _tuple_mask(self, name: str, size: int, at: tuple[int, ...]) -> int:
@@ -182,7 +179,7 @@ class _Fixpoint:
             positions = tuple(sorted(set(at)))
             free, stems, _ = self._masks(size, positions)
             found = 0
-            for row in self.b_rows[name]:
+            for row in self.b.positions(name):
                 digit = dict(zip(at, row))
                 # a repeated element needs equal template values
                 if all(digit[p] == v for p, v in zip(at, row)):
@@ -205,6 +202,12 @@ class _Fixpoint:
     def _subsets(self, max_entries: int) -> None:
         n = len(self.a_ids)
         self.top = min(self.l, n)
+        # each subset takes at least an entry's memory: count them before listing
+        subsets = sum(comb(n, size) for size in range(self.top + 1))
+        if subsets > max_entries:
+            raise BudgetExceeded(
+                f"consistency table needs {subsets} subsets, over its {max_entries}-entry cap"
+            )
         self.subset_elems: list[tuple[int, ...]] = []
         self.subset_id: dict[tuple[int, ...], int] = {}
         for size in range(self.top + 1):

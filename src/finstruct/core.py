@@ -85,7 +85,7 @@ class Structure:
     structures are equal iff signature, domain and all relations coincide.
     """
 
-    __slots__ = ("_signature", "_domain", "_domain_set", "_relations", "_hash")
+    __slots__ = ("_signature", "_domain", "_domain_set", "_relations", "_hash", "_positions")
 
     def __init__(
         self,
@@ -120,6 +120,7 @@ class Structure:
         self._domain_set = dom_set
         self._relations = rels
         self._hash: Optional[int] = None  # computed on first use; sweeps never hash
+        self._positions: Optional[dict[str, tuple[tuple[int, ...], ...]]] = None
 
     @property
     def signature(self) -> Signature:
@@ -136,6 +137,27 @@ class Structure:
     def relation(self, name: str) -> frozenset[tuple[str, ...]]:
         try:
             return self._relations[name]
+        except KeyError:
+            raise StructureError(f"unknown relation symbol: {name!r}") from None
+
+    def positions(self, name: str) -> tuple[tuple[int, ...], ...]:
+        """The tuples of relation ``name``, each element replaced by its
+        index in ``domain``.
+
+        Every relation is indexed on the first call and kept, outside
+        equality and hashing.  Tuple order follows the frozenset and so
+        depends on the hash seed: use the result only where order cannot
+        show, as in mask ANDs and ORs or confluent arc-consistency and
+        forward-checking narrowing.
+        """
+        if self._positions is None:
+            index = {x: i for i, x in enumerate(self._domain)}
+            self._positions = {
+                n: tuple(tuple(map(index.__getitem__, t)) for t in ts)
+                for n, ts in self._relations.items()
+            }
+        try:
+            return self._positions[name]
         except KeyError:
             raise StructureError(f"unknown relation symbol: {name!r}") from None
 

@@ -729,18 +729,11 @@ class FnFamily:
     def __init__(self):
         self._cache: dict[int, Structure] = {}
 
-    @property
-    def signature(self) -> Signature:
-        return FN_SIGNATURE
-
-    def member(self, n: int) -> Structure:
-        if n not in self._cache:
-            self._cache[n] = gen_Fn(n)
-        return self._cache[n]
-
     def __call__(self, s: Structure) -> Iterator[Structure]:
         for n in range(1, _path_bound(s) + 1):
-            yield self.member(n)
+            if n not in self._cache:
+                self._cache[n] = gen_Fn(n)
+            yield self._cache[n]
 
 
 class GFamily:
@@ -760,10 +753,6 @@ class GFamily:
 
     def __init__(self):
         self._cache: dict[int, list[Structure]] = {}
-
-    @property
-    def signature(self) -> Signature:
-        return G_SIGNATURE
 
     def members_of_depth(self, depth: int) -> list[Structure]:
         """Members of depth at most ``depth``, by leaf count then shape."""
@@ -794,10 +783,6 @@ class PnFamily:
 
     def __init__(self):
         self._cache: dict[int, Structure] = {}
-
-    @property
-    def signature(self) -> Signature:
-        return P_SIGNATURE
 
     def __call__(self, s: Structure) -> Iterator[Structure]:
         for n in range(1, _path_bound(s) + 1):

@@ -10,8 +10,7 @@ are independent of the pruning.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterator, Optional
 
 from .core import (
@@ -21,6 +20,7 @@ from .core import (
     StructureError,
     blowup,
     blowup_id,
+    pullback,
 )
 
 KINDS = (
@@ -56,30 +56,10 @@ def _require_total(f: ElementMap, a: Structure, b: Structure) -> None:
         raise StructureError("map is not total; use check_partial_homomorphism")
 
 
-def _is_hom(f: ElementMap, a: Structure, b: Structure) -> bool:
-    for name, ts in a.relations_items():
-        rb = b.relation(name)
-        for t in ts:
-            if f.map_tuple(t) not in rb:
-                return False
-    return True
-
-
 def _is_strong(f: ElementMap, a: Structure, b: Structure) -> bool:
     # f(A^k \ R^A) avoids R^B  <=>  every preimage of a tuple of R^B lies in R^A
-    preimage: dict[str, list[str]] = {}
-    for x in f.source:
-        preimage.setdefault(f[x], []).append(x)
-    for name, ts in b.relations_items():
-        ra = a.relation(name)
-        for t in ts:
-            classes = [preimage.get(v) for v in t]
-            if any(cls is None for cls in classes):
-                continue
-            for combo in product(*classes):  # type: ignore[arg-type]
-                if combo not in ra:
-                    return False
-    return True
+    pulled = pullback(f, b)
+    return all(pulled.relation(name) <= ts for name, ts in a.relations_items())
 
 
 def check_morphism(f: ElementMap, a: Structure, b: Structure, kind: str) -> bool:
@@ -89,7 +69,7 @@ def check_morphism(f: ElementMap, a: Structure, b: Structure, kind: str) -> bool
     if a.signature != b.signature:
         raise SignatureMismatch("check_morphism needs a common signature")
     _require_total(f, a, b)
-    if not _is_hom(f, a, b):
+    if not check_partial_homomorphism(f, a, b):
         return False
     if kind == "homomorphism":
         return True
@@ -127,7 +107,10 @@ class HomomorphismSearcher:
 
     The target's relations are indexed once as bitmasks over the sorted
     target domain, so repeated searches from many source structures stay
-    cheap.  Sources must share the target's signature.
+    cheap.  Sources must share the target's signature.  Sources are read
+    through ``Structure.positions``, kept on each (usually cached) member;
+    the target's tuples are read directly, since a target is indexed once
+    and an index tuple per target tuple would only add an allocation.
     """
 
     __slots__ = (
@@ -196,27 +179,32 @@ class HomomorphismSearcher:
         """
         if source.signature != self.target.signature:
             raise SignatureMismatch("searcher and source signatures differ")
-        order, unary, binary, wide = _source_skeleton(source)
-        n = len(order)
+        n = len(source.domain)
         cand = [self._full] * n
         support: list[list[tuple[int, list[int], int, int]]] = [[] for _ in range(n)]
         forward: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
         wide_checks: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in range(n)]
-        for name, ix in unary:
-            cand[ix] &= self._unary[name]
-        for name, ix, iy in binary:
-            if ix == iy:
-                cand[ix] &= self._diag[name]
-            else:
+        for name in source.signature.names:
+            if name in self._unary:
+                mask = self._unary[name]
+                for (ix,) in source.positions(name):
+                    cand[ix] &= mask
+            elif name in self._succ:
                 succ = self._succ[name]
                 pred = self._pred[name]
-                support[ix].append((iy, *pred))
-                support[iy].append((ix, *succ))
-                forward[ix].append((iy, succ[0]))
-                forward[iy].append((ix, pred[0]))
-        for name, posn in wide:
-            wide_checks[max(posn)].append((name, posn))
-        return order, cand, support, forward, wide_checks
+                diag = self._diag[name]
+                for ix, iy in source.positions(name):
+                    if ix == iy:
+                        cand[ix] &= diag
+                    else:
+                        support[ix].append((iy, *pred))
+                        support[iy].append((ix, *succ))
+                        forward[ix].append((iy, succ[0]))
+                        forward[iy].append((ix, pred[0]))
+            else:
+                for posn in source.positions(name):
+                    wide_checks[max(posn)].append((name, posn))
+        return cand, support, forward, wide_checks
 
     def _ac(self, cand: list[int], support, forward) -> bool:
         """Arc-consistency fixpoint; False when some candidate set empties.
@@ -262,50 +250,43 @@ class HomomorphismSearcher:
                         queue.append(j)
         return True
 
-    def _solve(self, source: Structure, injective: bool, limit: Optional[int]) -> Iterator[dict[str, str]]:
-        order, cand, support, forward, wide_checks = self._prepare(source)
+    def _solve(self, source: Structure, injective: bool) -> Iterator[dict[str, str]]:
+        cand, support, forward, wide_checks = self._prepare(source)
+        order = source.domain
         n = len(order)
         if n == 0:
             yield {}
             return
-        if injective and len(order) > self._n:
+        if injective and n > self._n:
             return
-        if any(c == 0 for c in cand):
-            return
-        if not self._ac(cand, support, forward):
+        if any(c == 0 for c in cand) or not self._ac(cand, support, forward):
             return
         values = self._values
         wide = self._wide
         assign = [-1] * n
         used = 0
-        found = 0
         rem = [0] * n  # untried candidates per depth
         trail: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         rem[0] = cand[0]
         depth = 0
         while depth >= 0:
+            # take back the last value tried at this depth; the trail is
+            # undone last change first, as one variable may narrow twice
+            undo = trail[depth]
+            while undo:
+                j, old = undo.pop()
+                cand[j] = old
+            if injective and assign[depth] >= 0:
+                used &= ~(1 << assign[depth])
             mask = rem[depth]
             if injective:
                 mask &= ~used
             if not mask:
-                if assign[depth] >= 0:
-                    if injective:
-                        used &= ~(1 << assign[depth])
-                    assign[depth] = -1
-                for (j, old) in trail[depth]:
-                    cand[j] = old
-                trail[depth].clear()
                 depth -= 1
                 continue
             low = mask & -mask
             rem[depth] ^= low
             v = low.bit_length() - 1
-            # undo effects of the previous value tried at this depth
-            if assign[depth] >= 0 and injective:
-                used &= ~(1 << assign[depth])
-            for (j, old) in trail[depth]:
-                cand[j] = old
-            trail[depth].clear()
             assign[depth] = v
             if injective:
                 used |= 1 << v
@@ -315,7 +296,7 @@ class HomomorphismSearcher:
                     old = cand[j]
                     new = old & rows[v]
                     if new != old:
-                        trail[depth].append((j, old))
+                        undo.append((j, old))
                         cand[j] = new
                         if not new:
                             ok = False
@@ -330,17 +311,13 @@ class HomomorphismSearcher:
                 continue
             if depth == n - 1:
                 yield {order[i]: values[assign[i]] for i in range(n)}
-                found += 1
-                if limit is not None and found >= limit:
-                    return
                 continue
             depth += 1
             rem[depth] = cand[depth]
             assign[depth] = -1
-        return
 
     def find(self, source: Structure) -> Optional[ElementMap]:
-        for assign in self._solve(source, injective=False, limit=1):
+        for assign in self._solve(source, injective=False):
             return ElementMap(source.domain, self.target.domain, assign)
         return None
 
@@ -348,33 +325,12 @@ class HomomorphismSearcher:
         return self.find(source) is not None
 
     def iter_all(self, source: Structure, limit: Optional[int] = None) -> Iterator[ElementMap]:
-        for assign in self._solve(source, injective=False, limit=limit):
+        for assign in islice(self._solve(source, injective=False), limit):
             yield ElementMap(source.domain, self.target.domain, assign)
 
     def iter_injective(self, source: Structure) -> Iterator[ElementMap]:
-        yield from (
-            ElementMap(source.domain, self.target.domain, assign)
-            for assign in self._solve(source, injective=True, limit=None)
-        )
-
-
-@lru_cache(maxsize=256)
-def _source_skeleton(source: Structure):
-    """Variable order and constraint tuples of a source, indexed by position."""
-    order = source.domain
-    pos = {x: i for i, x in enumerate(order)}
-    unary: list[tuple[str, int]] = []
-    binary: list[tuple[str, int, int]] = []
-    wide: list[tuple[str, tuple[int, ...]]] = []
-    for name, ts in source.relations_items():
-        arity = source.signature.arity(name)
-        if arity == 1:
-            unary.extend((name, pos[x]) for (x,) in ts)
-        elif arity == 2:
-            binary.extend((name, pos[x], pos[y]) for (x, y) in ts)
-        else:
-            wide.extend((name, tuple(pos[x] for x in t)) for t in ts)
-    return order, tuple(unary), tuple(binary), tuple(wide)
+        for assign in self._solve(source, injective=True):
+            yield ElementMap(source.domain, self.target.domain, assign)
 
 
 def find_homomorphism(a: Structure, b: Structure) -> Optional[ElementMap]:

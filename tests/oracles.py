@@ -22,9 +22,9 @@ MIXED = Signature([("U", 1), ("E", 2), ("T", 3)])
 
 
 @st.composite
-def mixed_structures(draw) -> Structure:
-    """Up to four elements with random unary, binary (loops too) and ternary tuples."""
-    domain = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+def mixed_structures(draw, max_size: int = 4) -> Structure:
+    """Up to max_size elements with random unary, binary (loops too) and ternary tuples."""
+    domain = [f"x{i}" for i in range(draw(st.integers(1, max_size)))]
     element = st.sampled_from(domain)
     return Structure(
         MIXED,
@@ -47,14 +47,39 @@ def preserves_tuples(assign: dict[str, str], a: Structure, b: Structure) -> bool
     return True
 
 
+def reflects_tuples(assign: dict[str, str], a: Structure, b: Structure) -> bool:
+    """No tuple outside R^A maps into R^B, for a total map."""
+    for name, arity in a.signature.symbols:
+        ra, rb = a.relation(name), b.relation(name)
+        for t in product(a.domain, repeat=arity):
+            if t not in ra and tuple(assign[x] for x in t) in rb:
+                return False
+    return True
+
+
+def morphism_kinds(assign: dict[str, str], a: Structure, b: Structure) -> dict[str, bool]:
+    """For a total map, whether it is each kind of morphism, by the definitions."""
+    hom = preserves_tuples(assign, a, b)
+    strong = hom and reflects_tuples(assign, a, b)
+    injective = len(set(assign.values())) == len(assign)
+    surjective = set(assign.values()) == set(b.domain)
+    return {
+        "homomorphism": hom,
+        "monomorphism": hom and injective,
+        "embedding": strong and injective,
+        "strong-homomorphism": strong,
+        "isomorphism": strong and injective and surjective,
+    }
+
+
+def all_maps(a: Structure, b: Structure) -> list[dict[str, str]]:
+    """Every total map, in lexicographic order of the values over the sorted domain."""
+    return [dict(zip(a.domain, choice)) for choice in product(b.domain, repeat=len(a.domain))]
+
+
 def all_homomorphisms(a: Structure, b: Structure) -> list[dict[str, str]]:
     """Every total homomorphism, by filtering the full map product."""
-    out = []
-    for choice in product(b.domain, repeat=len(a.domain)):
-        assign = dict(zip(a.domain, choice))
-        if preserves_tuples(assign, a, b):
-            out.append(assign)
-    return out
+    return [assign for assign in all_maps(a, b) if preserves_tuples(assign, a, b)]
 
 
 def all_partial_homomorphisms(a: Structure, b: Structure, max_size: int):

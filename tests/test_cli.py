@@ -5,6 +5,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +18,30 @@ from hypothesis import strategies as st
 
 from finstruct import cli
 from finstruct.core import Signature, Structure
-from finstruct.families import AbelianGroup, diagram_Fn, diagram_lineq, gen_Fn
+from finstruct.families import AbelianGroup, build_template, diagram_Fn, diagram_lineq, gen_Fn
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
+
+
+def run_process(*argv, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, importing the package from this tree."""
+    return subprocess.run(
+        [sys.executable, "-m", "finstruct.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), **(env or {})},
+        **kwargs,
+    )
+
+
+def write_structure(path: Path, structure: Structure) -> str:
+    path.write_text(cli.dump_canonical(cli.structure_to_doc(structure)))
+    return str(path)
 
 
 def test_round_trip_is_byte_identical(tmp_path):
@@ -94,6 +118,53 @@ def test_hom_exit_codes(tmp_path, capsys):
     assert code == 0 and int(text.strip()) >= 1
     code, _ = run(capsys, "hom", "--from", str(f3), "--to", str(f4), "--kind", "monomorphism")
     assert code == 1
+    iso_count = ("--kind", "isomorphism", "--count")
+    assert run(capsys, "hom", "--from", str(f3), "--to", str(f3), *iso_count) == (0, "1\n")
+    assert run(capsys, "hom", "--from", str(f3), "--to", str(f4), *iso_count) == (1, "0\n")
+
+
+def _cap_address_space() -> None:
+    cap = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_consist_refuses_oversize_l_at_once(tmp_path):
+    # (Z2, n=8) has 36 elements: 135,142,796 subsets of at most 9 of them
+    amalgam = write_structure(
+        tmp_path / "am.json", diagram_lineq(8, AbelianGroup([2])).free_amalgam().amalgam
+    )
+    template = write_structure(tmp_path / "t2.json", build_template(AbelianGroup([2])))
+    start = time.monotonic()
+    proc = run_process(
+        "consist", amalgam, template, "--k", "2", "--l", "9",
+        preexec_fn=_cap_address_space, timeout=120,
+    )
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 2 and proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_output_bytes_do_not_depend_on_hash_seed(tmp_path):
+    z2 = AbelianGroup([2])
+    template = write_structure(tmp_path / "t2.json", build_template(z2))
+    lineq4 = write_structure(
+        tmp_path / "am4.json", diagram_lineq(4, z2).free_amalgam().amalgam
+    )
+    f3 = write_structure(tmp_path / "f3.json", gen_Fn(3))
+    f3_amalgam = write_structure(tmp_path / "f3am.json", diagram_Fn(3).free_amalgam().amalgam)
+    lineq2 = tmp_path / "l2.json"
+    lineq2.write_text(cli.dump_canonical(cli.diagram_to_doc(diagram_lineq(2, z2))))
+    commands = [
+        ("consist", lineq4, template, "--k", "2", "--l", "3", "--trace", "-"),
+        ("hom", "--from", f3, "--to", f3_amalgam, "--all"),
+        ("hom", "--from", f3, "--to", f3_amalgam, "--kind", "embedding", "--all"),
+        ("confuse", "--diagram", str(lineq2), "--class", "lineq:2,3,2", "--m", "2", "--jobs", "1"),
+    ]
+    for argv in commands:
+        runs = [run_process(*argv, env={"PYTHONHASHSEED": seed}) for seed in ("1", "2")]
+        assert runs[0].stdout and runs[0].stdout == runs[1].stdout, argv
+        assert runs[0].returncode == runs[1].returncode, argv
 
 
 def test_consist_exit_codes(tmp_path, capsys):

@@ -53,6 +53,16 @@ def test_structure_invariants_enforced():
     assert s.relation("P") == frozenset()  # empty relations materialized
 
 
+def test_positions_index_the_sorted_domain():
+    s = tiny(["c", "a", "b"], edges=[("c", "a"), ("b", "b")], points=["c"])
+    fresh = tiny(["c", "a", "b"], edges=[("c", "a"), ("b", "b")], points=["c"])
+    assert sorted(s.positions("E")) == [(1, 1), (2, 0)]
+    assert s.positions("P") == ((2,),)
+    assert s == fresh and hash(s) == hash(fresh)  # the index takes no part
+    with pytest.raises(StructureError):
+        s.positions("Q")
+
+
 def test_induced_substructure():
     s = tiny(["a", "b", "c"], edges=[("a", "b"), ("b", "c")], points=["a"])
     assert induced_substructure(s, s.domain) == s

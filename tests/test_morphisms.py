@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_homomorphisms, mixed_structures
+from oracles import all_homomorphisms, all_maps, mixed_structures, morphism_kinds
 
 from finstruct.core import ElementMap, Signature, SignatureMismatch, Structure, StructureError
 from finstruct.families import (
@@ -19,6 +19,7 @@ from finstruct.families import (
     tree_instance,
 )
 from finstruct.morphisms import (
+    KINDS,
     HomomorphismSearcher,
     canonical_embeddings,
     check_morphism,
@@ -246,3 +247,27 @@ def test_searcher_matches_brute_force(source, target, limit):
     assert [sorted(f.items()) for f in searcher.iter_all(source, limit=limit)] == found[:limit]
     injective = [h for h in expected if len({v for _, v in h}) == len(h)]
     assert sorted(sorted(f.items()) for f in searcher.iter_injective(source)) == injective
+
+
+def test_search_restores_a_variable_narrowed_twice():
+    # x0 -> x1 and x1 -> x0 both narrow x1 when x0 is assigned; taking the
+    # value back must restore x1's candidates from before both steps
+    cycle = tiny(["x0", "x1"], [("x0", "x1"), ("x1", "x0")])
+    loops = tiny(["0", "1", "2"], [("0", "0"), ("0", "1"), ("1", "1"), ("2", "2")])
+    found = [dict(f.items()) for f in enumerate_homomorphisms(cycle, loops)]
+    assert found == all_homomorphisms(cycle, loops) == [
+        {"x0": v, "x1": v} for v in ("0", "1", "2")
+    ]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(mixed_structures(max_size=3), mixed_structures(max_size=3))
+def test_morphism_checks_match_definitions(a, b):
+    maps = all_maps(a, b)
+    kinds = [morphism_kinds(assign, a, b) for assign in maps]
+    for assign, expected in zip(maps, kinds):
+        f = ElementMap(a.domain, b.domain, assign)
+        assert {kind: check_morphism(f, a, b, kind) for kind in KINDS} == expected
+    embeddings = [assign for assign, k in zip(maps, kinds) if k["embedding"]]
+    assert [dict(f.items()) for f in enumerate_embeddings(a, b)] == embeddings
+    assert is_isomorphic(a, b) == any(k["isomorphism"] for k in kinds)

@@ -128,7 +128,7 @@ def family_inputs(draw):
     on the binary relations alone.
     """
     family = draw(st.sampled_from([FnFamily, PnFamily, GFamily]))
-    signature = family().signature
+    signature = REFERENCE_MEMBERS[family][0].signature
     domain = [f"x{i}" for i in range(draw(st.integers(1, 3 if family is GFamily else 4)))]
     labelled = draw(st.booleans())
     relations = {
