@@ -261,17 +261,40 @@ class _Fixpoint:
     # -- the fixpoint ---------------------------------------------------
 
     def run(self) -> bool:
-        """Delete to fixpoint; True iff the family stays nonempty."""
+        """Delete to fixpoint; True iff the family stays nonempty.
+
+        The initial pass deletes every assignment of at most k elements that
+        lacks an extension to some superset of at most l elements.  The queue
+        then takes each deleted (Y, g) in turn: g's extensions on the
+        immediate supersets Z of Y die by restriction, and each projection h
+        of g onto a subset X of Y with at most k elements dies, as
+        unsupported in Y, if it is still alive and has no extension left in
+        Y.  The deletions, their reasons and their order are those of the
+        plain loop that lists Y's neighbours on every pop and deletes one
+        entry at a time (``tests/oracles.py``, ``reference_run``):
+
+        - Alive before unsupported.  Both tests only read tables, so their
+          conjunction does not depend on which is read first.  The down step
+          deletes only from proper subsets of Y and the restriction step
+          only from proper supersets, so ``table[Y]`` is the same for every
+          X of one pop and is read once.
+        - Neighbours once per run.  Y's immediate supersets with their
+          masks, and its down-subsets, depend on Y's elements alone, never
+          on a table.  They are listed on Y's first pop, by the same
+          ``_supersets`` and ``downs`` in the same order, and reused.  Each
+          down position's support masks ``free << stems[h]`` likewise depend
+          on the subset size alone and are shifted once per run.
+        - One XOR per superset.  Every bit of ``table[Z] & free << stems[g]``
+          is set in ``table[Z]``, so XORing the whole mask clears the same
+          bits as one XOR per bit, and nothing reads ``table[Z]`` in between.
+          The reasons and queue entries still follow in ascending bit order,
+          and an empty mask adds none.
+        """
         table = self.table
         subset_elems, subset_id = self.subset_elems, self.subset_id
         queue: deque[tuple[int, int]] = deque()
+        append, popleft = queue.append, queue.popleft
         reasons = self.reasons
-
-        def delete(s_id: int, h: int, reason: tuple) -> None:
-            table[s_id] ^= 1 << h
-            if reasons is not None:
-                reasons[(s_id, h)] = reason
-            queue.append((s_id, h))
 
         # initial extension-support pass over assignments of size <= k
         for x_id, x_elems in enumerate(subset_elems):
@@ -281,34 +304,63 @@ class _Fixpoint:
             for h in _bits(table[x_id]):
                 for y_id, free, stems in sups:
                     if not table[y_id] & free << stems[h]:
-                        delete(x_id, h, ("unsupported", y_id))
+                        table[x_id] ^= 1 << h
+                        if reasons is not None:
+                            reasons[(x_id, h)] = ("unsupported", y_id)
+                        append((x_id, h))
                         break
-        # per subset size: the positions of its proper subsets of at most k elements
+        # per subset size: the positions of its proper subsets of at most k
+        # elements; for each, proj and every sub-assignment h's support mask
         downs = [
             [
-                (positions, *self._masks(size, positions))
+                positions
                 for sub_size in range(min(self.k, size - 1) + 1)
                 for positions in combinations(range(size), sub_size)
             ]
             for size in range(self.top + 1)
         ]
+        down_masks = [
+            [
+                (proj, [free << stem for stem in stems])
+                for free, stems, proj in (self._masks(size, p) for p in downs[size])
+            ]
+            for size in range(self.top + 1)
+        ]
+        # per popped subset: its immediate supersets with their masks, and
+        # its down-subsets' ids aligned with down_masks
+        neighbours: dict[int, tuple[list, tuple[int, ...], list]] = {}
         # subset 0 is the empty one; its table is 1 until the empty assignment dies
         while queue and table[0]:
-            y_id, g = queue.popleft()
-            y_elems = subset_elems[y_id]
-            size = len(y_elems)
+            y_id, g = popleft()
+            near = neighbours.get(y_id)
+            if near is None:
+                y_elems = subset_elems[y_id]
+                size = len(y_elems)
+                ups = list(self._supersets(y_elems, size + 1)) if size < self.top else []
+                down_ids = tuple(
+                    subset_id[tuple(map(y_elems.__getitem__, positions))]
+                    for positions in downs[size]
+                )
+                near = neighbours[y_id] = (ups, down_ids, down_masks[size])
+            ups, down_ids, masks = near
             # restriction closure: extensions of g on immediate supersets die
-            if size < self.top:
-                for z_id, free, stems in self._supersets(y_elems, size + 1):
-                    for ext in _bits(table[z_id] & free << stems[g]):
-                        delete(z_id, ext, ("restriction", y_id, g))
+            for z_id, free, stems in ups:
+                dead = table[z_id] & free << stems[g]
+                if dead:
+                    table[z_id] ^= dead
+                    for ext in _bits(dead):
+                        if reasons is not None:
+                            reasons[(z_id, ext)] = ("restriction", y_id, g)
+                        append((z_id, ext))
             # extension support: small projections of g may have lost their witness
-            for positions, free, stems, proj in downs[size]:
+            y_table = table[y_id]
+            for x_id, (proj, supports) in zip(down_ids, masks):
                 h = proj[g]
-                if not table[y_id] & free << stems[h]:
-                    x_id = subset_id[tuple(map(y_elems.__getitem__, positions))]
-                    if table[x_id] >> h & 1:
-                        delete(x_id, h, ("unsupported", y_id))
+                if table[x_id] >> h & 1 and not y_table & supports[h]:
+                    table[x_id] ^= 1 << h
+                    if reasons is not None:
+                        reasons[(x_id, h)] = ("unsupported", y_id)
+                    append((x_id, h))
         return bool(table[0])
 
     # -- decoding --------------------------------------------------------
@@ -404,7 +456,12 @@ def spoiler_trace(
     l: int,
     max_entries: int = DEFAULT_TABLE_CAP,
 ) -> Optional[GameTrace]:
-    """A validated spoiler strategy tree, present iff the instance is inconsistent."""
+    """The spoiler strategy tree read off the fixpoint's deletion reasons, or
+    None iff the instance is (k,l)-consistent.
+
+    The tree is not checked here; ``validate_trace`` checks it against the
+    game rules, independently of the fixpoint.
+    """
     fix = _Fixpoint(a, b, k, l, max_entries, trace=True)
     initial = list(fix.table)  # ints are immutable: this shares, not copies
     if fix.run():
@@ -427,13 +484,21 @@ def validate_trace(trace: GameTrace, a: Structure, b: Structure, k: int, l: int)
     checked: set[TraceNode] = set()
 
     def reply_values(position: dict[str, str], target: tuple[str, ...]) -> list[tuple[str, ...]]:
+        """Every assignment of target extending position that maps each
+        instance tuple inside target into its template relation."""
+        inside = set(target)
+        checks = [
+            (b.relation(name), t)
+            for name, ts in a.relations_items()
+            for t in ts
+            if inside.issuperset(t)
+        ]
         free = [x for x in target if x not in position]
         out = []
         for choice in product(b.domain, repeat=len(free)):
             assign = dict(position)
             assign.update(zip(free, choice))
-            f = ElementMap(a.domain, b.domain, assign)
-            if morphisms.check_partial_homomorphism(f, a, b):
+            if all(tuple(map(assign.__getitem__, t)) in rel for rel, t in checks):
                 out.append(tuple(assign[x] for x in target))
         return out
 
@@ -449,7 +514,7 @@ def validate_trace(trace: GameTrace, a: Structure, b: Structure, k: int, l: int)
         if node.action == "extend":
             if len(node.pebbles) > k or len(node.target) > l:
                 return False
-            if not set(node.pebbles) < set(node.target):
+            if not set(node.pebbles) < set(node.target) <= a.domain_set:
                 return False
             expected = reply_values(position, node.target)
             got = [values for values, _ in node.children]

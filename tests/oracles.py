@@ -3,8 +3,12 @@
 Nothing here reuses the library's search or fixpoint machinery: maps are
 enumerated as raw products and checked against the definitions directly,
 and the game oracle computes the spoiler-win set as a least fixpoint over
-the explicit move graph.  ``mixed_structures`` draws the small random
-structures the property tests feed to both sides.
+the explicit move graph.  ``mixed_structures`` and ``two_relations`` draw
+the small random structures the property tests feed to both sides.
+
+The one exception is ``reference_run``: the (k,l) fixpoint's deletion loop
+without its shortcuts, kept to check that ``_Fixpoint.run`` makes the same
+deletions in the same order.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
+from finstruct.consistency import _bits
 from finstruct.core import ElementMap, Signature, Structure
 from finstruct.families import AbelianGroup, TreeShape
 from finstruct.morphisms import check_partial_homomorphism
 
 MIXED = Signature([("U", 1), ("E", 2), ("T", 3)])
+TWO_BINARY = Signature([("E", 2), ("F", 2)])
 
 
 @st.composite
@@ -35,6 +41,21 @@ def mixed_structures(draw, max_size: int = 4) -> Structure:
             "T": draw(st.lists(st.tuples(element, element, element), max_size=3)),
         },
     )
+
+
+@st.composite
+def two_relations(draw) -> Structure:
+    """Up to 3 elements with two binary relations, each any subset of all
+    pairs, loops included: a prefix of drawn length of the pairs in a drawn
+    order.  Dense relations, 2-cycles and two constraints on one pair are
+    then common, unlike in ``mixed_structures``."""
+    domain = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    pairs = list(product(domain, repeat=2))
+
+    def relation() -> list[tuple[str, str]]:
+        return draw(st.permutations(pairs))[: draw(st.integers(0, len(pairs)))]
+
+    return Structure(TWO_BINARY, domain, {"E": relation(), "F": relation()})
 
 
 def preserves_tuples(assign: dict[str, str], a: Structure, b: Structure) -> bool:
@@ -202,3 +223,58 @@ def marking_solution_count(
         if root_value(shape, list(combo)) == mark:
             count += 1
     return count
+
+
+def reference_run(self) -> bool:
+    """The (k,l) deletion loop in its plain form: every neighbour listed
+    again on each pop, support checked before liveness, one ``delete`` call
+    per entry.  ``_Fixpoint.run`` must make the same deletions, for the same
+    reasons and in the same order.  ``self`` is a fresh ``_Fixpoint``."""
+    table = self.table
+    subset_elems, subset_id = self.subset_elems, self.subset_id
+    queue: deque[tuple[int, int]] = deque()
+    reasons = self.reasons
+
+    def delete(s_id: int, h: int, reason: tuple) -> None:
+        table[s_id] ^= 1 << h
+        if reasons is not None:
+            reasons[(s_id, h)] = reason
+        queue.append((s_id, h))
+
+    # initial extension-support pass over assignments of size <= k
+    for x_id, x_elems in enumerate(subset_elems):
+        if len(x_elems) > self.k:
+            break
+        sups = list(self._supersets(x_elems, self.top))
+        for h in _bits(table[x_id]):
+            for y_id, free, stems in sups:
+                if not table[y_id] & free << stems[h]:
+                    delete(x_id, h, ("unsupported", y_id))
+                    break
+    # per subset size: the positions of its proper subsets of at most k elements
+    downs = [
+        [
+            (positions, *self._masks(size, positions))
+            for sub_size in range(min(self.k, size - 1) + 1)
+            for positions in combinations(range(size), sub_size)
+        ]
+        for size in range(self.top + 1)
+    ]
+    # subset 0 is the empty one; its table is 1 until the empty assignment dies
+    while queue and table[0]:
+        y_id, g = queue.popleft()
+        y_elems = subset_elems[y_id]
+        size = len(y_elems)
+        # restriction closure: extensions of g on immediate supersets die
+        if size < self.top:
+            for z_id, free, stems in self._supersets(y_elems, size + 1):
+                for ext in _bits(table[z_id] & free << stems[g]):
+                    delete(z_id, ext, ("restriction", y_id, g))
+        # extension support: small projections of g may have lost their witness
+        for positions, free, stems, proj in downs[size]:
+            h = proj[g]
+            if not table[y_id] & free << stems[h]:
+                x_id = subset_id[tuple(map(y_elems.__getitem__, positions))]
+                if table[x_id] >> h & 1:
+                    delete(x_id, h, ("unsupported", y_id))
+    return bool(table[0])

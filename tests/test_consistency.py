@@ -9,7 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import MIXED, game_consistent, mixed_structures, partial_homomorphism_tables
+from oracles import (
+    MIXED,
+    game_consistent,
+    mixed_structures,
+    partial_homomorphism_tables,
+    reference_run,
+)
 
 from finstruct import cli, consistency
 from finstruct.consistency import (
@@ -188,6 +194,12 @@ def test_validate_trace_rejects_mutations():
     assert not validate_trace(mutated, amalgam, T2, 2, 3)
 
 
+def test_validate_trace_rejects_unknown_target():
+    # a target element outside the instance is refused, not looked up
+    stray = GameTrace(TraceNode((), (), "extend", ("a", "zz"), ()))
+    assert not validate_trace(stray, conflicted_point(), T2, 2, 3)
+
+
 def _swap(current, old, new):
     if current is old:
         return new
@@ -307,6 +319,35 @@ def test_initial_tables_match_brute_force(instance, template, l):
         for elems, table in zip(fix.subset_elems, fix.table)
     }
     assert got == expected
+
+
+def assert_same_deletions(instance: Structure, template: Structure, k: int, l: int) -> None:
+    """``_Fixpoint.run`` deletes what the reference loop deletes, for the
+    same reasons and in the same order, on the verdict and the trace path."""
+    for trace in (False, True):
+        fast, slow = (
+            consistency._Fixpoint(instance, template, k, l, consistency.DEFAULT_TABLE_CAP, trace)
+            for _ in range(2)
+        )
+        assert fast.run() == reference_run(slow)
+        assert fast.table == slow.table
+        if trace:
+            assert list(fast.reasons.items()) == list(slow.reasons.items())
+
+
+KL_UP_TO_3_4 = [(k, l) for k in range(1, 4) for l in range(k, 5)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mixed_structures(), mixed_structures(), st.sampled_from(KL_UP_TO_3_4))
+def test_run_matches_reference_deletions(instance, template, kl):
+    assert_same_deletions(instance, template, *kl)
+
+
+@pytest.mark.parametrize("group, n", [(Z2, 2), (Z2, 4), (AbelianGroup([3]), 2)])
+@pytest.mark.parametrize("kl", [(2, 3), (2, 4)])
+def test_run_matches_reference_deletions_on_lineq(group, n, kl):
+    assert_same_deletions(lineq_amalgam(n, group), build_template(group), *kl)
 
 
 # SHA-256 of the canonical trace documents of the lineq Z2 free amalgams at

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_homomorphisms, all_maps, mixed_structures, morphism_kinds
+from oracles import all_homomorphisms, all_maps, mixed_structures, morphism_kinds, two_relations
 
 from finstruct.core import ElementMap, Signature, SignatureMismatch, Structure, StructureError
 from finstruct.families import (
@@ -236,6 +236,17 @@ def test_embedding_implies_homomorphism_and_injectivity():
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(mixed_structures(), mixed_structures(), st.integers(1, 3))
 def test_searcher_matches_brute_force(source, target, limit):
+    assert_searcher_matches_brute_force(source, target, limit)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(two_relations(), two_relations(), st.integers(1, 3))
+def test_searcher_matches_brute_force_on_two_relations(source, target, limit):
+    # two constraints on one pair narrow a variable twice in one step
+    assert_searcher_matches_brute_force(source, target, limit)
+
+
+def assert_searcher_matches_brute_force(source, target, limit):
     expected = sorted(sorted(h.items()) for h in all_homomorphisms(source, target))
     searcher = HomomorphismSearcher(target)
     found = [sorted(f.items()) for f in searcher.iter_all(source)]
