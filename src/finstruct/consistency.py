@@ -5,9 +5,11 @@ the set of surviving assignments into the template.  Starting from all
 partial homomorphisms, assignments are deleted when a restriction dies or
 when a required extension to some superset disappears; the fixpoint family
 is empty exactly when the empty assignment is deleted.  The deletion order
-is deterministic.  When a trace is asked for, the fixpoint also records why
-each assignment died, and those reasons drive the extraction of a spoiler
-strategy tree for inconsistent instances.
+is deterministic and is kept, 8 bytes per deletion.  When a trace is asked
+for, the fixpoint also records the superset behind each "unsupported"
+death; every other reason is derived from the deletion order, and the
+reasons drive the extraction of a spoiler strategy tree for inconsistent
+instances.
 
 Each subset's surviving assignments are one bit set: an assignment packs
 into an integer with one base-|B| digit per subset position, and is present
@@ -18,7 +20,7 @@ precomputed extension masks.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from itertools import combinations, product
 from math import comb
 from typing import Optional
@@ -32,6 +34,10 @@ class BudgetExceeded(RuntimeError):
 
 
 DEFAULT_TABLE_CAP = 2_000_000
+# bytes the fixpoint may plan for its tables, support masks and proj lists
+# (see ``_Fixpoint``): a trace of lineq Z5 n=4 at (2,3) plans 14 MiB, and
+# Z5 n=2 at (2,4), refused, 639 MiB
+MEMORY_CAP = 256 * 2**20
 
 
 class ConsistencyFamily:
@@ -113,9 +119,19 @@ class _Fixpoint:
     (position r weighs base**r).  Each subset's table is one int whose bit h
     is set while packed assignment h survives.  ``max_entries`` caps the
     number of subsets, counted before any is listed, and the initial
-    entries, counted while the tables are built; the tables
-    themselves take (number of subsets) x base**l bits, up to twice that
-    when spoiler_trace keeps the tables from before the fixpoint.
+    entries, counted while the tables are built.
+
+    Before anything is allocated, the memory the run will hold is counted
+    against ``MEMORY_CAP``: a table of a size-s subset at its full base**s
+    bits (twice over when spoiler_trace keeps the tables from before the
+    fixpoint), each support mask at the base**s bits of the subset it is
+    read in, and each ``proj`` list entry at 8 bytes.  The masks and lists
+    counted are those ``run`` builds: the down patterns of every size and
+    the immediate-superset patterns.  A deletion is kept as the key
+    ``s_id * span + h`` with ``span = base**top``.  The count bounds both
+    the number of subsets and span by 8 x ``MEMORY_CAP`` bits, so every key
+    fits in a signed 64-bit integer; the key check is kept apart so that a
+    larger cap still cannot overflow the deletion array.
 
     ``_masks(size, positions)`` describes a subset X seen through its
     positions inside a size-element subset Y.  The mask of h, every
@@ -156,9 +172,12 @@ class _Fixpoint:
         self.mask_memo: dict[tuple[int, tuple[int, ...]], tuple[int, list[int], list[int]]] = {}
         self.tuple_memo: dict[tuple[str, int, tuple[int, ...]], int] = {}
         self._constraints()
-        self._subsets(max_entries)
-        # why each deleted assignment died; only spoiler_trace reads it
-        self.reasons: Optional[dict[tuple[int, int], tuple]] = {} if trace else None
+        self._subsets(max_entries, trace)
+        # the packed keys of the deleted assignments, in deletion order
+        self.deaths = array("q")
+        # the superset Y behind each "unsupported" death; only spoiler_trace
+        # reads it, and every other reason follows from ``deaths``
+        self.unsupported: Optional[dict[int, int]] = {} if trace else None
 
     # -- construction -------------------------------------------------
 
@@ -199,7 +218,7 @@ class _Fixpoint:
                     table &= self._tuple_mask(name, len(elems), at)
         return table
 
-    def _subsets(self, max_entries: int) -> None:
+    def _subsets(self, max_entries: int, trace: bool) -> None:
         n = len(self.a_ids)
         self.top = min(self.l, n)
         # each subset takes at least an entry's memory: count them before listing
@@ -208,6 +227,10 @@ class _Fixpoint:
             raise BudgetExceeded(
                 f"consistency table needs {subsets} subsets, over its {max_entries}-entry cap"
             )
+        self._check_memory(n, trace)
+        self.span = self.base**self.top
+        if subsets * self.span > 2**63:
+            raise BudgetExceeded("consistency table is too large to number its assignments")
         self.subset_elems: list[tuple[int, ...]] = []
         self.subset_id: dict[tuple[int, ...], int] = {}
         for size in range(self.top + 1):
@@ -223,6 +246,28 @@ class _Fixpoint:
                 raise BudgetExceeded(
                     f"consistency table exceeds {max_entries} entries; raise the cap to proceed"
                 )
+
+    def _check_memory(self, n: int, trace: bool) -> None:
+        """Refuse a run whose tables, support masks and proj lists would
+        take more than ``MEMORY_CAP`` bytes, before any is built."""
+        base, k = self.base, self.k
+        bits = sum(comb(n, size) * base**size for size in range(self.top + 1))
+        if trace:
+            bits *= 2
+        entries = 0
+        for size in range(self.top + 1):
+            for sub_size in range(min(k, size - 1) + 1):
+                patterns = comb(size, sub_size)
+                bits += patterns * base**sub_size * base**size
+                entries += patterns * base**size
+            if size - 1 > k:  # immediate-superset patterns not counted above
+                entries += size * base**size
+        need = bits // 8 + 8 * entries
+        if need > MEMORY_CAP:
+            raise BudgetExceeded(
+                f"consistency tables and masks need about {need >> 20} MiB, "
+                f"over the {MEMORY_CAP >> 20} MiB cap"
+            )
 
     def _masks(self, size: int, positions: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
         """``(free, stems, proj)`` for ascending positions in a size-element subset."""
@@ -264,14 +309,17 @@ class _Fixpoint:
         """Delete to fixpoint; True iff the family stays nonempty.
 
         The initial pass deletes every assignment of at most k elements that
-        lacks an extension to some superset of at most l elements.  The queue
-        then takes each deleted (Y, g) in turn: g's extensions on the
-        immediate supersets Z of Y die by restriction, and each projection h
-        of g onto a subset X of Y with at most k elements dies, as
-        unsupported in Y, if it is still alive and has no extension left in
-        Y.  The deletions, their reasons and their order are those of the
-        plain loop that lists Y's neighbours on every pop and deletes one
-        entry at a time (``tests/oracles.py``, ``reference_run``):
+        lacks an extension to some superset of at most l elements.  Each
+        deletion appends its key to ``deaths``, which is also the queue: the
+        loop takes each deleted (Y, g) in turn, in deletion order.  g's
+        extensions on the immediate supersets Z of Y die by restriction, and
+        each projection h of g onto a subset X of Y with at most k elements
+        dies, as unsupported in Y, if it is still alive and has no extension
+        left in Y.  Only the unsupported deaths' Y is recorded, and only on
+        the trace path; ``reasons`` derives the rest.  The deletions and
+        their order are those of the plain loop that lists Y's neighbours on
+        every pop and deletes one entry at a time (``tests/oracles.py``,
+        ``reference_run``):
 
         - Alive before unsupported.  Both tests only read tables, so their
           conjunction does not depend on which is read first.  The down step
@@ -287,14 +335,15 @@ class _Fixpoint:
         - One XOR per superset.  Every bit of ``table[Z] & free << stems[g]``
           is set in ``table[Z]``, so XORing the whole mask clears the same
           bits as one XOR per bit, and nothing reads ``table[Z]`` in between.
-          The reasons and queue entries still follow in ascending bit order,
-          and an empty mask adds none.
+          The keys still follow in ascending bit order, and an empty mask
+          adds none.
         """
         table = self.table
         subset_elems, subset_id = self.subset_elems, self.subset_id
-        queue: deque[tuple[int, int]] = deque()
-        append, popleft = queue.append, queue.popleft
-        reasons = self.reasons
+        span = self.span
+        deaths = self.deaths
+        append = deaths.append
+        unsupported = self.unsupported
 
         # initial extension-support pass over assignments of size <= k
         for x_id, x_elems in enumerate(subset_elems):
@@ -305,9 +354,10 @@ class _Fixpoint:
                 for y_id, free, stems in sups:
                     if not table[y_id] & free << stems[h]:
                         table[x_id] ^= 1 << h
-                        if reasons is not None:
-                            reasons[(x_id, h)] = ("unsupported", y_id)
-                        append((x_id, h))
+                        key = x_id * span + h
+                        if unsupported is not None:
+                            unsupported[key] = y_id
+                        append(key)
                         break
         # per subset size: the positions of its proper subsets of at most k
         # elements; for each, proj and every sub-assignment h's support mask
@@ -329,9 +379,13 @@ class _Fixpoint:
         # per popped subset: its immediate supersets with their masks, and
         # its down-subsets' ids aligned with down_masks
         neighbours: dict[int, tuple[list, tuple[int, ...], list]] = {}
-        # subset 0 is the empty one; its table is 1 until the empty assignment dies
-        while queue and table[0]:
-            y_id, g = popleft()
+        # the array iterator reads the current length at every step, so it
+        # also yields the keys appended below: ``deaths`` is a FIFO queue.
+        # Subset 0 is the empty one; its table is 1 until the empty assignment dies
+        for key in deaths:
+            if not table[0]:
+                break
+            y_id, g = divmod(key, span)
             near = neighbours.get(y_id)
             if near is None:
                 y_elems = subset_elems[y_id]
@@ -348,20 +402,68 @@ class _Fixpoint:
                 dead = table[z_id] & free << stems[g]
                 if dead:
                     table[z_id] ^= dead
-                    for ext in _bits(dead):
-                        if reasons is not None:
-                            reasons[(z_id, ext)] = ("restriction", y_id, g)
-                        append((z_id, ext))
+                    z_key = z_id * span
+                    while dead:
+                        low = dead & -dead
+                        append(z_key + low.bit_length() - 1)
+                        dead ^= low
             # extension support: small projections of g may have lost their witness
             y_table = table[y_id]
             for x_id, (proj, supports) in zip(down_ids, masks):
                 h = proj[g]
                 if table[x_id] >> h & 1 and not y_table & supports[h]:
                     table[x_id] ^= 1 << h
-                    if reasons is not None:
-                        reasons[(x_id, h)] = ("unsupported", y_id)
-                    append((x_id, h))
+                    key = x_id * span + h
+                    if unsupported is not None:
+                        unsupported[key] = y_id
+                    append(key)
         return bool(table[0])
+
+    def reasons(self):
+        """A function from a deleted (s_id, h) to why it died, as
+        ``("unsupported", Y)`` or ``("restriction", Y, g)``; trace path only.
+
+        - ``run`` pops in deletion order, so the popped entries are a prefix
+          of ``deaths``.
+        - An unsupported death needs a proper superset of at most l
+          elements, so it happens only on subsets of at most k elements, and
+          each one's Y is recorded in ``unsupported``.
+        - Any other dead (Z, ext) died by restriction, at the pop of one of
+          its projections (Y, ext|Y) onto an immediate subset Y; the
+          restriction step deletes nothing else.  Pops follow ``deaths``, so
+          the projection that comes earliest there was popped, and before
+          any other.  Its pop kills (Z, ext) unless (Z, ext) is dead
+          already, and only an earlier projection's pop or a recorded
+          unsupported death could have killed it.  So the reason is
+          ``("restriction", Y, ext|Y)`` for that earliest projection.
+
+        A restriction cause is one size smaller than the entry it kills, so
+        only the positions of the deaths below the top size are indexed,
+        once, and each restriction reason then costs at most l probes.
+        """
+        span, base = self.span, self.base
+        subset_elems, subset_id = self.subset_elems, self.subset_id
+        unsupported = self.unsupported
+        below_top = (len(subset_elems) - comb(len(self.a_ids), self.top)) * span
+        when = {key: i for i, key in enumerate(self.deaths) if key < below_top}
+
+        def reason(s_id: int, h: int) -> tuple:
+            y_id = unsupported.get(s_id * span + h)
+            if y_id is not None:
+                return ("unsupported", y_id)
+            z_elems = subset_elems[s_id]
+            causes = []
+            for i in range(len(z_elems)):
+                y_id = subset_id[z_elems[:i] + z_elems[i + 1 :]]
+                low = base**i
+                g = h % low + h // (low * base) * low  # h without digit i
+                at = when.get(y_id * span + g)
+                if at is not None:
+                    causes.append((at, y_id, g))
+            _, y_id, g = min(causes)
+            return ("restriction", y_id, g)
+
+        return reason
 
     # -- decoding --------------------------------------------------------
 
@@ -386,13 +488,15 @@ class _Fixpoint:
     def build_trace(self, initial: list[int]) -> GameTrace:
         """The spoiler strategy read off the deletion reasons; ``initial`` is
         the tables from before ``run``, whose entries are all the replies."""
-        memo: dict[tuple[int, int], TraceNode] = {}
+        memo: dict[int, TraceNode] = {}
+        reason_of = self.reasons()
+        span = self.span
 
         def node_for(s_id: int, h: int) -> TraceNode:
-            key = (s_id, h)
+            key = s_id * span + h
             if key in memo:
                 return memo[key]
-            reason = self.reasons[key]
+            reason = reason_of(s_id, h)
             pebbles, values = self.decode(s_id, h)
             if reason[0] == "unsupported":
                 # the duplicator's replies: every initial assignment on Y extending h
@@ -475,11 +579,20 @@ def validate_trace(trace: GameTrace, a: Structure, b: Structure, k: int, l: int)
     Verifies pebble budgets, the retract-before-extend discipline, that
     every extension node branches over exactly the partial-homomorphism
     replies, and that leaves are duplicator-stuck.
+
+    No node's position is checked against the instance on its own: every
+    position the walk reaches is a partial homomorphism, by induction along
+    the edge it is reached by.  The root must hold the empty map, which is
+    one since no relation has arity 0.  An extension child's values must
+    equal its reply, and the replies must be exactly those ``reply_values``
+    produced, each of which maps every instance tuple inside the target into
+    the template.  A retraction child's values must equal the restriction of
+    its parent's position, already checked, to a subset of its pebbles.
     """
     _validate_args(a, b, k, l)
     if not isinstance(trace, GameTrace) or not isinstance(trace.root, TraceNode):
         return False
-    if trace.root.pebbles != ():
+    if trace.root.pebbles != () or trace.root.values != ():
         return False
     checked: set[TraceNode] = set()
 
@@ -508,9 +621,6 @@ def validate_trace(trace: GameTrace, a: Structure, b: Structure, k: int, l: int)
         if len(node.pebbles) != len(node.values) or len(node.pebbles) > l:
             return False
         position = dict(zip(node.pebbles, node.values))
-        f = ElementMap(a.domain, b.domain, position)
-        if not morphisms.check_partial_homomorphism(f, a, b):
-            return False
         if node.action == "extend":
             if len(node.pebbles) > k or len(node.target) > l:
                 return False

@@ -8,7 +8,7 @@ the small random structures the property tests feed to both sides.
 
 The one exception is ``reference_run``: the (k,l) fixpoint's deletion loop
 without its shortcuts, kept to check that ``_Fixpoint.run`` makes the same
-deletions in the same order.
+deletions in the same order, with every reason recorded.
 """
 
 from __future__ import annotations
@@ -225,20 +225,21 @@ def marking_solution_count(
     return count
 
 
-def reference_run(self) -> bool:
+def reference_run(self) -> tuple[bool, dict[tuple[int, int], tuple]]:
     """The (k,l) deletion loop in its plain form: every neighbour listed
     again on each pop, support checked before liveness, one ``delete`` call
-    per entry.  ``_Fixpoint.run`` must make the same deletions, for the same
-    reasons and in the same order.  ``self`` is a fresh ``_Fixpoint``."""
+    per entry, and every reason recorded.  Returns the verdict and each
+    deleted (s_id, h) with its reason, in deletion order.  ``_Fixpoint.run``
+    must make the same deletions in the same order, and its derived reasons
+    must be these.  ``self`` is a fresh ``_Fixpoint``."""
     table = self.table
     subset_elems, subset_id = self.subset_elems, self.subset_id
     queue: deque[tuple[int, int]] = deque()
-    reasons = self.reasons
+    reasons: dict[tuple[int, int], tuple] = {}
 
     def delete(s_id: int, h: int, reason: tuple) -> None:
         table[s_id] ^= 1 << h
-        if reasons is not None:
-            reasons[(s_id, h)] = reason
+        reasons[(s_id, h)] = reason
         queue.append((s_id, h))
 
     # initial extension-support pass over assignments of size <= k
@@ -277,4 +278,4 @@ def reference_run(self) -> bool:
                 x_id = subset_id[tuple(map(y_elems.__getitem__, positions))]
                 if table[x_id] >> h & 1:
                     delete(x_id, h, ("unsupported", y_id))
-    return bool(table[0])
+    return bool(table[0]), reasons

@@ -128,21 +128,58 @@ def _cap_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-def test_consist_refuses_oversize_l_at_once(tmp_path):
-    # (Z2, n=8) has 36 elements: 135,142,796 subsets of at most 9 of them
+def assert_consist_refused_at_once(tmp_path, n: int, group: AbelianGroup, l: int) -> None:
+    """``consist`` at (2, l) on the lineq free amalgam exits 2 with one
+    error line within 10 s, under a 512 MiB address-space cap."""
     amalgam = write_structure(
-        tmp_path / "am.json", diagram_lineq(8, AbelianGroup([2])).free_amalgam().amalgam
+        tmp_path / "am.json", diagram_lineq(n, group).free_amalgam().amalgam
     )
-    template = write_structure(tmp_path / "t2.json", build_template(AbelianGroup([2])))
+    template = write_structure(tmp_path / "t.json", build_template(group))
     start = time.monotonic()
     proc = run_process(
-        "consist", amalgam, template, "--k", "2", "--l", "9",
+        "consist", amalgam, template, "--k", "2", "--l", str(l),
         preexec_fn=_cap_address_space, timeout=120,
     )
     assert time.monotonic() - start < 10
     assert proc.returncode == 2 and proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_consist_refuses_oversize_l_at_once(tmp_path):
+    # (Z2, n=8) has 36 elements: 135,142,796 subsets of at most 9 of them
+    assert_consist_refused_at_once(tmp_path, 8, AbelianGroup([2]), 9)
+
+
+def test_consist_refuses_oversize_masks_at_once(tmp_path):
+    # (Z5, n=2) has 6 elements and a 30-element template: at (2,4) the
+    # support masks of the size-4 subsets alone would take about 570 MB
+    assert_consist_refused_at_once(tmp_path, 2, AbelianGroup([5]), 4)
+
+
+def test_consist_trace_peak_rss(tmp_path):
+    # lineq Z3 n=8 at (2,3) deletes 401,002 assignments; the trace path keeps
+    # 8 bytes for each, not a reason tuple, so the run stays well under 64 MiB
+    z3 = AbelianGroup([3])
+    amalgam = write_structure(tmp_path / "am.json", diagram_lineq(8, z3).free_amalgam().amalgam)
+    template = write_structure(tmp_path / "t3.json", build_template(z3))
+    script = (
+        "import resource, sys\n"
+        "from finstruct import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    )
+    argv = ["consist", amalgam, template, "--k", "2", "--l", "3", "--trace", os.devnull]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=300,
+    )
+    assert proc.stdout == b"inconsistent\n"
+    code, peak_kib = map(int, proc.stderr.decode().split())
+    assert code == 1
+    assert peak_kib < 64 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_output_bytes_do_not_depend_on_hash_seed(tmp_path):

@@ -158,16 +158,7 @@ def test_validate_trace_rejects_mutations():
     trace = spoiler_trace(amalgam, T2, 2, 3)
     assert trace is not None
 
-    def find_branching(node):
-        if node.action == "extend" and len(node.children) > 1:
-            return node
-        for _, child in node.children:
-            hit = find_branching(child)
-            if hit is not None:
-                return hit
-        return None
-
-    node = find_branching(trace.root)
+    node = _find(trace.root, lambda n: n.action == "extend" and len(n.children) > 1)
     assert node is not None
     # dropping one duplicator reply leaves the tree incomplete
     pruned = TraceNode(
@@ -192,12 +183,54 @@ def test_validate_trace_rejects_mutations():
         rebuild(trace.root) if node is trace.root else _swap(trace.root, node, stuck)
     )
     assert not validate_trace(mutated, amalgam, T2, 2, 3)
+    # a child whose values differ from its reply: the first reply leads to
+    # the second reply's position
+    (reply, _), (_, other) = node.children[:2]
+    crossed = TraceNode(
+        node.pebbles, node.values, node.action, node.target,
+        ((reply, other),) + node.children[1:],
+    )
+    assert not validate_trace(GameTrace(_swap(trace.root, node, crossed)), amalgam, T2, 2, 3)
+    # a retraction to another lost position on the same pebbles, which is
+    # not the restriction of its own (the n=2 strategy never retracts)
+    amalgam4 = lineq_amalgam(4)
+    trace4 = spoiler_trace(amalgam4, T2, 2, 3)
+    assert trace4 is not None
+    retract = _find(trace4.root, lambda n: n.action == "retract")
+    assert retract is not None
+    ((_, child),) = retract.children
+    moved = _find(trace4.root, lambda n: n.pebbles == child.pebbles and n.values != child.values)
+    assert moved is not None
+    bad_retract = TraceNode(
+        retract.pebbles, retract.values, "retract", retract.target, ((moved.values, moved),)
+    )
+    assert validate_trace(trace4, amalgam4, T2, 2, 3)
+    assert not validate_trace(
+        GameTrace(_swap(trace4.root, retract, bad_retract)), amalgam4, T2, 2, 3
+    )
+    # a root that already holds values
+    root = trace.root
+    assert not validate_trace(
+        GameTrace(TraceNode((), (T2.domain[0],), root.action, root.target, root.children)),
+        amalgam, T2, 2, 3,
+    )
 
 
 def test_validate_trace_rejects_unknown_target():
     # a target element outside the instance is refused, not looked up
     stray = GameTrace(TraceNode((), (), "extend", ("a", "zz"), ()))
     assert not validate_trace(stray, conflicted_point(), T2, 2, 3)
+
+
+def _find(node, wanted):
+    """The first node, depth first, that ``wanted`` accepts."""
+    if wanted(node):
+        return node
+    for _, child in node.children:
+        hit = _find(child, wanted)
+        if hit is not None:
+            return hit
+    return None
 
 
 def _swap(current, old, new):
@@ -321,18 +354,29 @@ def test_initial_tables_match_brute_force(instance, template, l):
     assert got == expected
 
 
+def expand_deaths(fix) -> list[tuple[tuple[int, int], tuple]]:
+    """The fixpoint's death log as ``[((s_id, h), reason)]``, in deletion
+    order, with the reasons ``_Fixpoint.reasons`` derives."""
+    reason = fix.reasons()
+    return [(entry, reason(*entry)) for entry in (divmod(key, fix.span) for key in fix.deaths)]
+
+
 def assert_same_deletions(instance: Structure, template: Structure, k: int, l: int) -> None:
-    """``_Fixpoint.run`` deletes what the reference loop deletes, for the
-    same reasons and in the same order, on the verdict and the trace path."""
+    """``_Fixpoint.run`` deletes what the reference loop deletes, in the same
+    order, on the verdict and the trace path; on the trace path the derived
+    reasons are the ones the reference records."""
     for trace in (False, True):
         fast, slow = (
             consistency._Fixpoint(instance, template, k, l, consistency.DEFAULT_TABLE_CAP, trace)
             for _ in range(2)
         )
-        assert fast.run() == reference_run(slow)
+        consistent, reasons = reference_run(slow)
+        assert fast.run() == consistent
         assert fast.table == slow.table
         if trace:
-            assert list(fast.reasons.items()) == list(slow.reasons.items())
+            assert expand_deaths(fast) == list(reasons.items())
+        else:
+            assert [divmod(key, fast.span) for key in fast.deaths] == list(reasons)
 
 
 KL_UP_TO_3_4 = [(k, l) for k in range(1, 4) for l in range(k, 5)]
@@ -345,7 +389,7 @@ def test_run_matches_reference_deletions(instance, template, kl):
 
 
 @pytest.mark.parametrize("group, n", [(Z2, 2), (Z2, 4), (AbelianGroup([3]), 2)])
-@pytest.mark.parametrize("kl", [(2, 3), (2, 4)])
+@pytest.mark.parametrize("kl", [(2, 3), (2, 4), (2, 2), (3, 3)])
 def test_run_matches_reference_deletions_on_lineq(group, n, kl):
     assert_same_deletions(lineq_amalgam(n, group), build_template(group), *kl)
 
@@ -393,9 +437,9 @@ def test_verdict_paths_record_no_reasons(monkeypatch):
     assert not is_consistent(amalgam, T2, 2, 3)
     assert kl_family(amalgam, T2, 2, 3) is None
     assert kl_family(marking(tree_instance(2), (0,), Z2), T2, 2, 3) is not None
-    assert len(fixpoints) == 3 and not any(fix.reasons for fix in fixpoints)
+    assert len(fixpoints) == 3 and all(fix.unsupported is None for fix in fixpoints)
     assert spoiler_trace(amalgam, T2, 2, 3) is not None
-    assert fixpoints[-1].reasons
+    assert fixpoints[-1].unsupported
 
 
 def _write_trace_text(root: TraceNode) -> str:
