@@ -8,6 +8,7 @@ be shared freely between threads or processes.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Optional
 
 
@@ -83,9 +84,25 @@ class Structure:
     ``domain`` is kept sorted and relations are stored as frozen tuple sets;
     every symbol of the signature is keyed, possibly by the empty set.  Two
     structures are equal iff signature, domain and all relations coincide.
+
+    A structure built by ``induced_on_mask`` is a view: it keeps the host it
+    was cut from and the mask of its elements over the host's sorted domain.
+    Any other structure is its own host with the full mask.  The host, the
+    mask and the lazily built indexes stay out of equality and hashing,
+    and the indexes stay out of pickles; a pickled view carries its host.
     """
 
-    __slots__ = ("_signature", "_domain", "_domain_set", "_relations", "_hash", "_positions")
+    __slots__ = (
+        "_signature",
+        "_domain",
+        "_domain_set",
+        "_relations",
+        "_hash",
+        "_positions",
+        "_host",
+        "_alive",
+        "_index",
+    )
 
     def __init__(
         self,
@@ -115,12 +132,25 @@ class Structure:
             rels[name] = frozen
         for name, _ in signature.symbols:
             rels.setdefault(name, frozenset())
+        self._set(signature, dom, dom_set, rels, None, None)
+
+    def _set(self, signature, domain, domain_set, relations, host, alive) -> None:
         self._signature = signature
-        self._domain = dom
-        self._domain_set = dom_set
-        self._relations = rels
+        self._domain = domain
+        self._domain_set = domain_set
+        self._relations = relations
+        self._host: Optional[Structure] = host  # None: its own host
+        self._alive: Optional[int] = alive  # None: the full mask
         self._hash: Optional[int] = None  # computed on first use; sweeps never hash
         self._positions: Optional[dict[str, tuple[tuple[int, ...], ...]]] = None
+        self._index: Optional[MaskIndex] = None  # built on first use, hosts only
+
+    def __getstate__(self):
+        return self._signature, self._domain, self._relations, self._host, self._alive
+
+    def __setstate__(self, state) -> None:
+        signature, domain, relations, host, alive = state
+        self._set(signature, domain, frozenset(domain), relations, host, alive)
 
     @property
     def signature(self) -> Signature:
@@ -165,6 +195,30 @@ class Structure:
         for name in self._signature.names:
             yield name, self._relations[name]
 
+    @property
+    def host(self) -> "Structure":
+        """The structure this one is an induced view of, or itself."""
+        return self if self._host is None else self._host
+
+    @property
+    def alive(self) -> int:
+        """The mask of this structure's elements over the host's sorted domain."""
+        if self._alive is None:
+            return (1 << len(self._domain)) - 1
+        return self._alive
+
+    def mask_index(self) -> "MaskIndex":
+        """The host's relations as bitmasks over the host's sorted domain.
+
+        Built on the host's first call and kept there, outside equality,
+        hashing and pickles, so every view of one host shares it.
+        """
+        if self._host is not None:
+            return self._host.mask_index()
+        if self._index is None:
+            self._index = MaskIndex(self)
+        return self._index
+
     def __len__(self) -> int:
         return len(self._domain)
 
@@ -189,6 +243,58 @@ class Structure:
 
     def __repr__(self) -> str:
         return f"Structure(|dom|={len(self._domain)}, sig={self._signature!r})"
+
+
+class MaskIndex:
+    """The relations of a host structure as bitmasks over its sorted domain.
+
+    Bit i of a mask stands for ``domain[i]``.  ``unary[name]`` is the mask
+    of a unary relation.  For a binary relation, ``succ[name]`` is
+    ``(rows, union, tag)`` with rows[u] the mask of the v with (u, v) in
+    the relation, union the OR of all rows and tag an integer naming the
+    row table; ``pred[name]`` is the same for (v, u), and ``diag[name]``
+    masks the loops.  Wider relations stay tuple sets in ``wide``.
+    """
+
+    __slots__ = ("unary", "succ", "pred", "diag", "wide")
+
+    def __init__(self, host: Structure):
+        rank = {v: i for i, v in enumerate(host.domain)}
+        n = len(rank)
+        self.unary: dict[str, int] = {}
+        self.succ: dict[str, tuple[list[int], int, int]] = {}
+        self.pred: dict[str, tuple[list[int], int, int]] = {}
+        self.diag: dict[str, int] = {}
+        self.wide: dict[str, frozenset[tuple[str, ...]]] = {}
+        for name, ts in host.relations_items():
+            arity = host.signature.arity(name)
+            if arity == 1:
+                mask = 0
+                for (v,) in ts:
+                    mask |= 1 << rank[v]
+                self.unary[name] = mask
+            elif arity == 2:
+                succ = [0] * n
+                pred = [0] * n
+                diag = 0
+                for (u, v) in ts:
+                    iu, iv = rank[u], rank[v]
+                    succ[iu] |= 1 << iv
+                    pred[iv] |= 1 << iu
+                    if iu == iv:
+                        diag |= 1 << iu
+                union_succ = 0
+                for mask in succ:
+                    union_succ |= mask
+                union_pred = 0
+                for mask in pred:
+                    union_pred |= mask
+                tag = 2 * len(self.succ)
+                self.succ[name] = (succ, union_succ, tag)
+                self.pred[name] = (pred, union_pred, tag + 1)
+                self.diag[name] = diag
+            else:
+                self.wide[name] = ts
 
 
 class ElementMap:
@@ -322,6 +428,35 @@ def induced_substructure(s: Structure, subset: Iterable[str]) -> Structure:
         for name, ts in s.relations_items()
     }
     return Structure(s.signature, keep, rels)
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def induced_on_mask(
+    host: Structure, alive: int, relations: Mapping[str, frozenset[tuple[str, ...]]]
+) -> Structure:
+    """Substructure of ``host`` induced on the elements whose bits are set in ``alive``.
+
+    Bit i stands for ``host.host.domain[i]``, and ``alive`` must lie inside
+    ``host.alive``.  ``relations`` must map every symbol to exactly the
+    host's tuples inside the mask, as a frozenset; the caller knows them
+    (``families.build_JC`` joins precomputed sets), and they are kept as
+    given, not checked.  The result is a view that keeps the host and the
+    mask, so its searchers and heights read the host's ``mask_index``.
+    Its domain is read off the sorted host domain, so it is sorted already
+    and its identifiers are valid; nothing is sorted or checked again.
+    """
+    root = host.host
+    if alive < 0 or alive & ~host.alive:
+        raise DomainError("mask selects elements outside the host")
+    n = len(root.domain)
+    # one 0/1 byte per host element, lowest bit first, for compress to read
+    flags = format(alive, f"0{n}b").encode()[::-1].translate(_BIT_FLAGS)
+    domain = tuple(compress(root.domain, flags))
+    view = Structure.__new__(Structure)
+    view._set(host.signature, domain, frozenset(domain), relations, root, alive)
+    return view
 
 
 def union(b: Structure, c: Structure) -> Structure:
@@ -500,31 +635,46 @@ def height(s: Structure, names: Iterable[str]) -> Optional[int]:
     """Edges on the longest directed walk in the union of binary relations.
 
     None when the union of the relations ``names`` has a cycle (a loop is
-    one), since walks are then unbounded.  Otherwise the longest walk is a
-    path and its length is found by a topological sweep.
+    one), since walks are then unbounded.  Read off the host's successor
+    rows restricted to ``s.alive``: W_0 is every element and W_{k+1} the
+    elements with a predecessor in W_k, so W_k holds the ends of walks of
+    k edges.  W_1 lies in W_0, hence by induction each W_{k+1} in W_k.  The
+    first empty W_{k+1} makes k the height.  A nonempty W_{k+1} = W_k means
+    every element of it has a predecessor in it, which only a cycle
+    allows; a cycle keeps its elements in every W_k, so the sets then
+    settle on a nonempty set.  Elements without an edge out reach nothing
+    and are not scanned.
     """
-    succ: dict[str, set[str]] = {x: set() for x in s.domain}
+    index = s.mask_index()
+    tables = []
+    tails = 0  # elements of the host with an edge out: the union of the pred rows
     for name in names:
-        for u, v in s.relation(name):
-            succ[u].add(v)
-    indegree = dict.fromkeys(s.domain, 0)
-    for targets in succ.values():
-        for v in targets:
-            indegree[v] += 1
-    level = dict.fromkeys(s.domain, 0)
-    ready = [x for x in s.domain if not indegree[x]]
-    done = 0
-    while ready:
-        u = ready.pop()
-        done += 1
-        for v in succ[u]:
-            level[v] = max(level[v], level[u] + 1)
-            indegree[v] -= 1
-            if not indegree[v]:
-                ready.append(v)
-    if done < len(s.domain):
-        return None
-    return max(level.values(), default=0)
+        if name not in index.succ:
+            if name in s.signature:
+                raise StructureError(f"height needs binary relations; {name!r} is not one")
+            raise StructureError(f"unknown relation symbol: {name!r}")
+        tables.append(index.succ[name][0])
+        tails |= index.pred[name][1]
+    alive = s.alive
+    frontier = alive
+    edges = 0
+    while frontier:
+        reached = 0
+        scan = frontier & tails
+        while scan:
+            low = scan & -scan
+            u = low.bit_length() - 1
+            for rows in tables:
+                reached |= rows[u]
+            scan ^= low
+        reached &= alive
+        if reached == frontier:
+            return None
+        if not reached:
+            return edges
+        frontier = reached
+        edges += 1
+    return 0
 
 
 def reduct(s: Structure, names: Iterable[str]) -> Structure:

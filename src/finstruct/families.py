@@ -228,7 +228,11 @@ class Diagram:
         return len(self.base.domain)
 
     def skeleton(self, m: int) -> "_JCSkeleton":
-        """The glue skeleton of the m-fold blow-up of the base (see ``build_JC``)."""
+        """The glue skeleton of the m-fold blow-up of the base (see ``build_JC``).
+
+        Raises ``BudgetExceeded``, before building anything, when
+        ``_skeleton_size`` is over ``SKELETON_LIMIT``.
+        """
         if m not in self._skeletons:
             self._skeletons[m] = _JCSkeleton(self, m)
         return self._skeletons[m]
@@ -544,32 +548,116 @@ def _spot_parts(diagram: Diagram, spot: ElementMap, side: str, tag: str):
     return fresh, tuples
 
 
+# Most elements plus tuples a glue skeleton may plan for its union of side
+# copies.  F_4 at m=9 plans 249,615 and ((..)(..)) 183,744.  Built and indexed
+# for search, F_4's skeleton peaked at 137 MiB at m=9 and at 777 MiB at m=12
+# (788,472 planned), since each bitmask row spans the whole union.  F_4 at
+# m=30 (810,000 spots) plans over 30 million and is refused before any spot
+# is built.
+SKELETON_LIMIT = 1 << 18
+
+
+def _skeleton_size(diagram: Diagram, m: int) -> int:
+    """Elements plus tuples of the m-fold skeleton's union of side copies, bounded above.
+
+    Counted from the diagram alone: the blow-up has m elements per base
+    element and m^r tuples per base tuple of arity r, and each of the m^|A|
+    spots adds at most one copy of each side, elements and tuples.
+    """
+    base = diagram.base
+    blown = m * len(base.domain) + sum(
+        m ** base.signature.arity(name) * len(ts) for name, ts in base.relations_items()
+    )
+    sides = sum(
+        len(part.domain) + sum(len(ts) for _, ts in part.relations_items())
+        for part in (diagram.left, diagram.right)
+    )
+    return blown + m ** len(base.domain) * sides
+
+
 class _JCSkeleton:
     """The m-fold blow-up of a diagram's base with every side copy rendered.
 
     ``spots`` are the canonical embeddings of the base into the blow-up
-    ``j``, in their lexicographic order, and ``parts[side][k]`` is the copy
-    of that side glued at spot k.  A fresh element x of that copy is named
-    ``{prefix}{k}.x``.  The prefix is fresh: it is ``g``, lengthened until
-    no blow-up identifier starts with it, so no fresh name equals a blow-up
-    identifier; and k ends at the first ``.``, so copies at different
-    spots never share a name.  Nothing here depends on a coloring.
+    ``j``, in their lexicographic order.  A fresh element x of the copy of
+    a side glued at spot k is named ``{prefix}{k}.x``.  The prefix is
+    fresh: it is ``g``, lengthened until no blow-up identifier starts with
+    it, so no fresh name equals a blow-up identifier; and k ends at the
+    first ``.``, so copies at different spots never share a name.  The two
+    copies at one spot share a name exactly when the sides share a fresh
+    identifier, as the two markings of one tree in ``diagram_lineq`` do.
+
+    ``all`` is J_all: the blow-up glued with both side copies at every
+    spot, an ordinary structure checked once by ``Structure``.  It exists
+    only when no two copies share a name; otherwise it would merge the two
+    copies at a spot into elements carrying both copies' tuples, and
+    ``all`` is None.
+
+    Relations are rows of frozensets aligned with ``names``, the
+    signature's symbols.  ``blowup`` is ``(mask, domain, row)`` for the
+    blow-up, and ``parts[side][k]`` the same for that copy: its fresh
+    elements as a mask over J_all's sorted domain (0 when there is no
+    J_all) and as names, and its tuples that mention a fresh element.  A
+    copy's other tuples lie among glued elements; since the side map is an
+    embedding each is the image of a base tuple, carried by the spot into
+    the blow-up, where it already is.  Nothing here depends on a coloring.
+    ``_skeleton_size`` is checked against ``SKELETON_LIMIT`` before any
+    spot is built, and a larger skeleton raises ``BudgetExceeded``.
     """
 
-    __slots__ = ("j", "spots", "spot_index", "parts")
+    __slots__ = ("j", "spots", "spot_index", "all", "names", "blowup", "parts")
 
     def __init__(self, diagram: Diagram, m: int):
+        size = _skeleton_size(diagram, m)
+        if size > SKELETON_LIMIT:
+            raise BudgetExceeded(
+                f"glue skeleton at m={m} plans {size} elements and tuples, "
+                f"over the limit of {SKELETON_LIMIT}"
+            )
         emb = morphisms.canonical_embeddings(diagram.base, m)
         self.j = emb.target
         self.spots = emb.members
         self.spot_index = {spot: k for k, spot in enumerate(self.spots)}
         prefix = _fresh_prefix(self.j.domain, "g")
-        self.parts = {
+        rendered = {
             side: [
                 _spot_parts(diagram, spot, side, f"{prefix}{k}.")
                 for k, spot in enumerate(self.spots)
             ]
             for side in ("L", "R")
+        }
+        domain = list(self.j.domain)
+        for copies in rendered.values():
+            for fresh, _ in copies:
+                domain.extend(fresh)
+        self.all: Optional[Structure] = None
+        bit: dict[str, int] = {}
+        if len(set(domain)) == len(domain):
+            rels = {name: set(ts) for name, ts in self.j.relations_items()}
+            for copies in rendered.values():
+                for _, tuples in copies:
+                    for name, ts in tuples.items():
+                        rels[name].update(ts)
+            self.all = Structure(diagram.base.signature, domain, rels)
+            bit = {x: 1 << i for i, x in enumerate(self.all.domain)}
+        self.names = diagram.base.signature.names
+        self.blowup = (
+            sum(bit.get(x, 0) for x in self.j.domain),
+            self.j.domain,
+            tuple(self.j.relation(name) for name in self.names),
+        )
+
+        def piece(fresh: list[str], tuples: dict):
+            new = set(fresh)
+            row = tuple(
+                frozenset(t for t in tuples.get(name, ()) if not new.isdisjoint(t))
+                for name in self.names
+            )
+            return sum(bit.get(x, 0) for x in fresh), tuple(fresh), row
+
+        self.parts = {
+            side: [piece(fresh, tuples) for fresh, tuples in copies]
+            for side, copies in rendered.items()
         }
 
 
@@ -577,28 +665,41 @@ def build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
     """Blow-up of the base glued with one fresh side copy per colored spot.
 
     Spots must be canonical embeddings of the base into its m-fold blow-up;
-    a partial coloring glues only the spots it covers.  The glued structure
-    is the union of the blow-up and the chosen copies, which the diagram's
-    skeleton renders once per m.  The blow-up stays an induced
-    substructure, so each spot, read with the glued domain as target, is
-    the lifted embedding of the base.  Fresh copies are named by their
-    spot's index in the lexicographic spot order.
+    a partial coloring glues only the spots it covers.  The blow-up stays
+    an induced substructure, so each spot, read with the glued domain as
+    target, is the lifted embedding of the base.  Fresh copies are named
+    by their spot's index in the lexicographic spot order.
+
+    J_C's relations are the blow-up's joined with the chosen copies' rows:
+    a chosen copy's other tuples are in the blow-up already (see
+    ``_JCSkeleton``).  When the skeleton has J_all, J_C is J_all induced
+    on ``alive``, the blow-up and the fresh elements of the chosen copies.
+    No two copies share a name there, and every tuple of J_all comes from
+    the blow-up or from one copy, so none joins fresh elements of two
+    copies; a tuple inside ``alive`` is thus a blow-up tuple, a chosen
+    copy's, or an unchosen copy's among glued elements only, which the
+    blow-up holds already.  So ``core.induced_on_mask`` gets exactly the
+    host's tuples inside the mask and takes them without checking them
+    again: J_all was checked when the skeleton was built.  Without J_all,
+    J_C is built and checked as a structure of its own.
     """
     skeleton = diagram.skeleton(m)
     try:
-        chosen = [
+        pieces = [skeleton.blowup] + [
             skeleton.parts[side][skeleton.spot_index[spot]]
             for spot, side in zip(coloring.spots, coloring.sides)
         ]
     except KeyError:
         raise StructureError("coloring mentions a spot outside the canonical embeddings") from None
-    domain = list(skeleton.j.domain)
-    rels = {name: set(ts) for name, ts in skeleton.j.relations_items()}
-    for fresh, tuples in chosen:
-        domain.extend(fresh)
-        for name, ts in tuples.items():
-            rels[name].update(ts)
-    return Structure(diagram.base.signature, domain, rels)
+    columns = zip(*(row for _, _, row in pieces))  # per symbol: the blow-up's set, then the copies'
+    rels = {name: first.union(*rest) for name, (first, *rest) in zip(skeleton.names, columns)}
+    if skeleton.all is None:
+        domain = [x for _, fresh, _ in pieces for x in fresh]
+        return Structure(diagram.base.signature, domain, rels)
+    alive = 0
+    for mask, _, _ in pieces:
+        alive |= mask
+    return core.induced_on_mask(skeleton.all, alive, rels)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ identifier.  Pruning is limited to unary candidate filtering, arc consistency
 over binary tuples, and forward checking during the descent; all three only
 remove values that occur in no solution, so the maps found, and their order,
 are independent of the pruning.
+
+Values are bits over the target's host (``Structure.mask_index``, built once
+per host and shared by all its views), restricted to the target's ``alive``
+mask; the bit order is the host's identifier order, which on the target is
+its own.
 """
 
 from __future__ import annotations
@@ -105,68 +110,32 @@ def check_partial_homomorphism(f: ElementMap, a: Structure, b: Structure) -> boo
 class HomomorphismSearcher:
     """Backtracking homomorphism search against a fixed target structure.
 
-    The target's relations are indexed once as bitmasks over the sorted
-    target domain, so repeated searches from many source structures stay
-    cheap.  Sources must share the target's signature.  Sources are read
-    through ``Structure.positions``, kept on each (usually cached) member;
-    the target's tuples are read directly, since a target is indexed once
-    and an index tuple per target tuple would only add an allocation.
+    The target is read through its host's ``Structure.mask_index``, built
+    once per host: a value is a bit, and bit i stands for the host's i-th
+    identifier.  A target that is no view is its own host, with every bit
+    alive; a view built by ``core.induced_on_mask`` leaves its host's rows
+    as they are and narrows by its mask instead.  Candidates start at
+    ``alive`` and unary and loop masks are ANDed into them, so every
+    candidate, and by the ANDs every narrowed set, lies inside ``alive``.
+    A host row read at a live value then yields, once ANDed with a set
+    inside ``alive``, exactly the view's row: the view's tuples are the
+    host's tuples inside the mask.  Wide tuples are looked up in the
+    host's sets, which agree with the view's on tuples of live values.
+    So the search visits the same values in the same order as on a
+    standalone copy, and since the view's sorted domain is a subsequence
+    of the host's, lowest bit first is identifier order.  Sources must
+    share the target's signature and are read through
+    ``Structure.positions``.
     """
 
-    __slots__ = (
-        "target",
-        "_n",
-        "_values",
-        "_unary",
-        "_succ",
-        "_pred",
-        "_diag",
-        "_wide",
-        "_full",
-    )
+    __slots__ = ("target", "_index", "_alive", "_n", "_values")
 
     def __init__(self, target: Structure):
         self.target = target
-        values = target.domain
-        index = {v: i for i, v in enumerate(values)}
-        self._values = values
-        self._n = len(values)
-        self._full = (1 << self._n) - 1
-        self._unary: dict[str, int] = {}
-        # name -> (rows, union of the rows, tag naming the row table)
-        self._succ: dict[str, tuple[list[int], int, int]] = {}
-        self._pred: dict[str, tuple[list[int], int, int]] = {}
-        self._diag: dict[str, int] = {}
-        self._wide: dict[str, frozenset[tuple[str, ...]]] = {}
-        for name, ts in target.relations_items():
-            arity = target.signature.arity(name)
-            if arity == 1:
-                mask = 0
-                for (v,) in ts:
-                    mask |= 1 << index[v]
-                self._unary[name] = mask
-            elif arity == 2:
-                succ = [0] * self._n
-                pred = [0] * self._n
-                diag = 0
-                for (u, v) in ts:
-                    iu, iv = index[u], index[v]
-                    succ[iu] |= 1 << iv
-                    pred[iv] |= 1 << iu
-                    if iu == iv:
-                        diag |= 1 << iu
-                union_pred = 0
-                for mask in pred:
-                    union_pred |= mask
-                union_succ = 0
-                for mask in succ:
-                    union_succ |= mask
-                tag = 2 * len(self._succ)
-                self._succ[name] = (succ, union_succ, tag)
-                self._pred[name] = (pred, union_pred, tag + 1)
-                self._diag[name] = diag
-            else:
-                self._wide[name] = ts
+        self._index = target.mask_index()
+        self._alive = target.alive
+        self._n = len(target.domain)
+        self._values = target.host.domain
 
     def _prepare(self, source: Structure):
         """Candidate masks and constraint indexes for one source structure.
@@ -175,24 +144,25 @@ class HomomorphismSearcher:
         mask of values allowed for variable i when variable j takes value w,
         total the union of all rows and tag naming the row table;
         ``forward[i]`` holds the mirrored (j, rows) pairs used to narrow
-        later variables when i is assigned.
+        later variables when i is assigned.  Candidates start at ``alive``.
         """
         if source.signature != self.target.signature:
             raise SignatureMismatch("searcher and source signatures differ")
+        index = self._index
         n = len(source.domain)
-        cand = [self._full] * n
+        cand = [self._alive] * n
         support: list[list[tuple[int, list[int], int, int]]] = [[] for _ in range(n)]
         forward: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
         wide_checks: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in range(n)]
         for name in source.signature.names:
-            if name in self._unary:
-                mask = self._unary[name]
+            if name in index.unary:
+                mask = index.unary[name]
                 for (ix,) in source.positions(name):
                     cand[ix] &= mask
-            elif name in self._succ:
-                succ = self._succ[name]
-                pred = self._pred[name]
-                diag = self._diag[name]
+            elif name in index.succ:
+                succ = index.succ[name]
+                pred = index.pred[name]
+                diag = index.diag[name]
                 for ix, iy in source.positions(name):
                     if ix == iy:
                         cand[ix] &= diag
@@ -210,11 +180,14 @@ class HomomorphismSearcher:
         """Arc-consistency fixpoint; False when some candidate set empties.
 
         Support unions are cached per (variable, row table tag) and reused
-        while that variable's candidates are unchanged; a still-full
-        candidate set contributes the precomputed whole-table union.
+        while that variable's candidates are unchanged.  A candidate set
+        still equal to ``alive`` contributes the host's whole-table union
+        instead: that is a superset of the rows of the live values, so it
+        may keep a value without support but never drops one with it, and
+        the maps found do not change.
         """
         n = len(cand)
-        full = self._full
+        alive = self._alive
         queue = deque(range(n))
         queued = [True] * n
         cache: dict[tuple[int, int], tuple[int, int]] = {}
@@ -224,7 +197,7 @@ class HomomorphismSearcher:
             ci = cand[i]
             for (j, rows, total, tag) in support[i]:
                 mj = cand[j]
-                if mj == full:
+                if mj == alive:
                     supp = total
                 else:
                     key = (j, tag)
@@ -262,7 +235,7 @@ class HomomorphismSearcher:
         if any(c == 0 for c in cand) or not self._ac(cand, support, forward):
             return
         values = self._values
-        wide = self._wide
+        wide = self._index.wide
         assign = [-1] * n
         used = 0
         rem = [0] * n  # untried candidates per depth

@@ -21,6 +21,7 @@ from .morphisms import HomomorphismSearcher
 from .rng import SplitMix64
 
 EXHAUSTIVE_SPOT_LIMIT = 20
+SAMPLE_LIMIT = 1 << EXHAUSTIVE_SPOT_LIMIT  # as many colorings as exhaustive mode allows
 
 
 class ClassOracle:
@@ -202,13 +203,14 @@ def check_confusion(
     """Sweep colorings of the canonical embeddings and test glued membership.
 
     Exhaustive mode iterates all 2^(m^|A|) colorings and is refused beyond
-    2^20 of them, before any spot is built; sample mode draws ``samples``
-    seeded colorings and bounds no spot count.  The diagram must already
-    witness failure of amalgamation for the oracle.  The spots and the
-    glue skeleton are the diagram's own (``Diagram.skeleton``), so worker
-    processes receive them with the pickled diagram.  Failures are reported
-    sorted by coloring encoding; the verdict is true when no coloring left
-    the class.
+    2^20 of them; sample mode draws ``samples`` seeded colorings and is
+    refused beyond 2^20 samples.  Both refusals, and the glue skeleton's
+    own budget (``families.SKELETON_LIMIT``), come before any spot is built
+    or any encoding drawn.  The diagram must already witness failure of
+    amalgamation for the oracle.  The spots and the glue skeleton are the
+    diagram's own (``Diagram.skeleton``), so worker processes receive them
+    with the pickled diagram.  Failures are reported sorted by coloring
+    encoding; the verdict is true when no coloring left the class.
     """
     if not witnesses_failure(diagram, oracle):
         raise StructureError("diagram does not witness failure of amalgamation")
@@ -220,17 +222,23 @@ def check_confusion(
             raise BudgetExceeded(
                 f"exhaustive sweep over {n_spots} spots exceeds 2^{EXHAUSTIVE_SPOT_LIMIT} colorings"
             )
-        encodings: list[int] = list(range(1 << n_spots))
         mode_doc = {"kind": "exhaustive"}
     elif mode == "sample":
         if samples < 1:
             raise StructureError("sample mode needs a positive sample count")
-        rng = SplitMix64(seed)
-        encodings = [rng.next_bits(n_spots) for _ in range(samples)]
+        if samples > SAMPLE_LIMIT:
+            raise BudgetExceeded(
+                f"{samples} samples exceed the limit of 2^{EXHAUSTIVE_SPOT_LIMIT} colorings"
+            )
         mode_doc = {"kind": "sample", "count": samples, "seed": seed}
     else:
         raise StructureError(f"unknown mode {mode!r}")
     spots = diagram.skeleton(m).spots
+    if mode == "exhaustive":
+        encodings: list[int] = list(range(1 << n_spots))
+    else:
+        rng = SplitMix64(seed)
+        encodings = [rng.next_bits(n_spots) for _ in range(samples)]
 
     if jobs > 1 and len(encodings) >= 4 * jobs:
         chunk_size = max(64, len(encodings) // (jobs * 8))

@@ -6,9 +6,12 @@ and the game oracle computes the spoiler-win set as a least fixpoint over
 the explicit move graph.  ``mixed_structures`` and ``two_relations`` draw
 the small random structures the property tests feed to both sides.
 
-The one exception is ``reference_run``: the (k,l) fixpoint's deletion loop
-without its shortcuts, kept to check that ``_Fixpoint.run`` makes the same
-deletions in the same order, with every reason recorded.
+Three exceptions are the library's earlier, plainer forms, kept to check
+the faster ones against: ``reference_run``, the (k,l) fixpoint's deletion
+loop without its shortcuts, which ``_Fixpoint.run`` must match deletion for
+deletion, with every reason recorded; ``reference_build_JC``, the glued
+structure rebuilt as a union and checked through ``Structure``; and
+``reference_height``, the topological sweep for the longest walk.
 """
 
 from __future__ import annotations
@@ -20,8 +23,15 @@ from hypothesis import strategies as st
 
 from finstruct.consistency import _bits
 from finstruct.core import ElementMap, Signature, Structure
-from finstruct.families import AbelianGroup, TreeShape
-from finstruct.morphisms import check_partial_homomorphism
+from finstruct.families import (
+    AbelianGroup,
+    Coloring,
+    Diagram,
+    TreeShape,
+    _fresh_prefix,
+    _spot_parts,
+)
+from finstruct.morphisms import canonical_embeddings, check_partial_homomorphism
 
 MIXED = Signature([("U", 1), ("E", 2), ("T", 3)])
 TWO_BINARY = Signature([("E", 2), ("F", 2)])
@@ -279,3 +289,48 @@ def reference_run(self) -> tuple[bool, dict[tuple[int, int], tuple]]:
                 if table[x_id] >> h & 1:
                     delete(x_id, h, ("unsupported", y_id))
     return bool(table[0]), reasons
+
+
+def reference_build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
+    """The blow-up of the base joined with one side copy per colored spot,
+    as the union of their tuple sets, built and checked by ``Structure``.
+    Copies are rendered and named as in the glue skeleton."""
+    embeddings = canonical_embeddings(diagram.base, m)
+    blowup = embeddings.target
+    spot_index = {spot: k for k, spot in enumerate(embeddings.members)}
+    prefix = _fresh_prefix(blowup.domain, "g")
+    domain = list(blowup.domain)
+    rels = {name: set(ts) for name, ts in blowup.relations_items()}
+    for spot, side in zip(coloring.spots, coloring.sides):
+        fresh, tuples = _spot_parts(diagram, spot, side, f"{prefix}{spot_index[spot]}.")
+        domain.extend(fresh)
+        for name, ts in tuples.items():
+            rels[name].update(ts)
+    return Structure(diagram.base.signature, domain, rels)
+
+
+def reference_height(s: Structure, names) -> int | None:
+    """Edges on the longest directed walk in the union of the binary
+    relations ``names``, by a topological sweep; None on a cycle."""
+    succ: dict[str, set[str]] = {x: set() for x in s.domain}
+    for name in names:
+        for u, v in s.relation(name):
+            succ[u].add(v)
+    indegree = dict.fromkeys(s.domain, 0)
+    for targets in succ.values():
+        for v in targets:
+            indegree[v] += 1
+    level = dict.fromkeys(s.domain, 0)
+    ready = [x for x in s.domain if not indegree[x]]
+    done = 0
+    while ready:
+        u = ready.pop()
+        done += 1
+        for v in succ[u]:
+            level[v] = max(level[v], level[u] + 1)
+            indegree[v] -= 1
+            if not indegree[v]:
+                ready.append(v)
+    if done < len(s.domain):
+        return None
+    return max(level.values(), default=0)

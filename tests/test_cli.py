@@ -128,22 +128,24 @@ def _cap_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-def assert_consist_refused_at_once(tmp_path, n: int, group: AbelianGroup, l: int) -> None:
-    """``consist`` at (2, l) on the lineq free amalgam exits 2 with one
-    error line within 10 s, under a 512 MiB address-space cap."""
-    amalgam = write_structure(
-        tmp_path / "am.json", diagram_lineq(n, group).free_amalgam().amalgam
-    )
-    template = write_structure(tmp_path / "t.json", build_template(group))
+def assert_refused_at_once(*argv: str) -> None:
+    """The CLI exits 2 with one error line within 10 s, under a 512 MiB
+    address-space cap."""
     start = time.monotonic()
-    proc = run_process(
-        "consist", amalgam, template, "--k", "2", "--l", str(l),
-        preexec_fn=_cap_address_space, timeout=120,
-    )
+    proc = run_process(*argv, preexec_fn=_cap_address_space, timeout=120)
     assert time.monotonic() - start < 10
     assert proc.returncode == 2 and proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def assert_consist_refused_at_once(tmp_path, n: int, group: AbelianGroup, l: int) -> None:
+    """``consist`` at (2, l) on the lineq free amalgam is refused at once."""
+    amalgam = write_structure(
+        tmp_path / "am.json", diagram_lineq(n, group).free_amalgam().amalgam
+    )
+    template = write_structure(tmp_path / "t.json", build_template(group))
+    assert_refused_at_once("consist", amalgam, template, "--k", "2", "--l", str(l))
 
 
 def test_consist_refuses_oversize_l_at_once(tmp_path):
@@ -155,6 +157,26 @@ def test_consist_refuses_oversize_masks_at_once(tmp_path):
     # (Z5, n=2) has 6 elements and a 30-element template: at (2,4) the
     # support masks of the size-4 subsets alone would take about 570 MB
     assert_consist_refused_at_once(tmp_path, 2, AbelianGroup([5]), 4)
+
+
+def test_confuse_refuses_oversize_skeleton_at_once(tmp_path):
+    # F_4 at m=30 has 810,000 spots; the skeleton would plan over 30 million
+    # elements and tuples
+    diagram = tmp_path / "f4.json"
+    diagram.write_text(cli.dump_canonical(cli.diagram_to_doc(diagram_Fn(4))))
+    assert_refused_at_once(
+        "confuse", "--diagram", str(diagram), "--mode", "sample", "--samples", "1",
+        "--m", "30", "--class", "fn", "--jobs", "1",
+    )
+
+
+def test_confuse_refuses_oversize_sample_count_at_once(tmp_path):
+    diagram = tmp_path / "f3.json"
+    diagram.write_text(cli.dump_canonical(cli.diagram_to_doc(diagram_Fn(3))))
+    assert_refused_at_once(
+        "confuse", "--diagram", str(diagram), "--mode", "sample", "--samples", "100000000",
+        "--m", "2", "--class", "fn", "--jobs", "1",
+    )
 
 
 def test_consist_trace_peak_rss(tmp_path):

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import mixed_structures, reference_height, two_relations
 
 from finstruct import core
 from finstruct.core import (
@@ -15,6 +21,8 @@ from finstruct.core import (
     blowup,
     disjoint_union,
     free_amalgam,
+    height,
+    induced_on_mask,
     induced_substructure,
     is_connected,
     pullback,
@@ -61,6 +69,88 @@ def test_positions_index_the_sorted_domain():
     assert s == fresh and hash(s) == hash(fresh)  # the index takes no part
     with pytest.raises(StructureError):
         s.positions("Q")
+
+
+def inside(host: Structure, alive: int) -> dict:
+    """The host's tuples among the masked elements, per symbol."""
+    keep = {x for i, x in enumerate(host.host.domain) if alive >> i & 1}
+    return {
+        name: frozenset(t for t in ts if keep.issuperset(t)) for name, ts in host.relations_items()
+    }
+
+
+def standalone_copy(host: Structure, alive: int) -> Structure:
+    """The host's substructure on the masked elements, rebuilt and checked by Structure."""
+    keep = [x for i, x in enumerate(host.domain) if alive >> i & 1]
+    rels = {name: [t for t in ts if set(t) <= set(keep)] for name, ts in host.relations_items()}
+    return Structure(host.signature, keep, rels)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mixed_structures(), st.data())
+def test_induced_view_matches_standalone_copy(host, data):
+    full = (1 << len(host.domain)) - 1
+    alive = data.draw(st.integers(0, full))
+    view = induced_on_mask(host, alive, inside(host, alive))
+    copy = standalone_copy(host, alive)
+    assert view == copy and view.domain == copy.domain and hash(view) == hash(copy)
+    assert view.domain_set == copy.domain_set
+    assert view.host is host and view.alive == alive
+    assert host.host is host and host.alive == full
+    # a view of a view is cut from the same host
+    inner = alive & data.draw(st.integers(0, full))
+    nested = induced_on_mask(view, inner, inside(view, inner))
+    assert nested == standalone_copy(host, inner) and nested.host is host
+    assert nested.mask_index() is host.mask_index()
+    if alive != full:
+        with pytest.raises(DomainError):
+            induced_on_mask(view, full, inside(host, full))
+    with pytest.raises(DomainError):
+        induced_on_mask(host, full + 1, inside(host, full))
+
+
+def test_views_pickle_without_indexes():
+    host = tiny(["a", "b", "c"], edges=[("a", "b"), ("b", "c")], points=["a"])
+    view = induced_on_mask(host, 0b011, inside(host, 0b011))
+    assert height(view, ("E",)) == 1 and host._index is not None
+    hash(host)
+    again = pickle.loads(pickle.dumps(view))
+    assert again == view and again.alive == 0b011 and again.host == host
+    assert again.host._index is None and again.host._hash is None
+    assert again.host._positions is None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mixed_structures(), st.data())
+def test_height_matches_reference(host, data):
+    assert height(host, ("E",)) == reference_height(host, ("E",))
+    alive = data.draw(st.integers(0, (1 << len(host.domain)) - 1))
+    view = induced_on_mask(host, alive, inside(host, alive))
+    assert height(view, ("E",)) == reference_height(view, ("E",))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(two_relations(), st.data())
+def test_height_of_two_relations_matches_reference(host, data):
+    assert height(host, ("E", "F")) == reference_height(host, ("E", "F"))
+    alive = data.draw(st.integers(0, (1 << len(host.domain)) - 1))
+    view = induced_on_mask(host, alive, inside(host, alive))
+    assert height(view, ("E", "F")) == reference_height(view, ("E", "F"))
+
+
+def test_height_examples():
+    path = tiny(["a", "b", "c", "d"], edges=[("a", "b"), ("b", "c"), ("c", "d")])
+    assert height(path, ("E",)) == 3
+    assert height(induced_on_mask(path, 0b1011, inside(path, 0b1011)), ("E",)) == 1  # c dropped
+    cycle = tiny(["a", "b", "c", "d"], edges=[("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+    assert height(cycle, ("E",)) is None
+    assert height(induced_on_mask(cycle, 0b1110, inside(cycle, 0b1110)), ("E",)) == 2  # a dropped
+    assert height(tiny(["a"], edges=[("a", "a")]), ("E",)) is None
+    assert height(tiny([]), ("E",)) == 0 and height(tiny(["a", "b"]), ("E",)) == 0
+    with pytest.raises(StructureError):
+        height(path, ("P",))
+    with pytest.raises(StructureError):
+        height(path, ("Q",))
 
 
 def test_induced_substructure():

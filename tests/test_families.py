@@ -7,10 +7,13 @@ import pickle
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import marking_solution_count
+from oracles import marking_solution_count, reference_build_JC
 
-from finstruct import cli, core, morphisms
+from finstruct import cli, core, families, morphisms
+from finstruct.consistency import BudgetExceeded
 from finstruct.core import ElementMap, Structure, StructureError, is_connected
 from finstruct.families import (
     AbelianGroup,
@@ -300,6 +303,100 @@ def test_skeleton_is_memoised_per_m_and_pickled(monkeypatch):
 
     monkeypatch.setattr(morphisms, "canonical_embeddings", spy)
     assert again == d and again.skeleton(2).spots == two.spots
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [diagram_lineq(2, AbelianGroup([2])), diagram_Fn(3), diagram_G(TreeShape.parse("((..).)"))],
+    ids=["lineq-z2-n2", "F3", "((..).)"],
+)
+def test_build_jc_matches_reference_on_every_coloring(diagram):
+    skeleton = diagram.skeleton(2)
+    spots = skeleton.spots
+    for enc in range(1 << len(spots)):
+        coloring = Coloring.from_encoding(spots, enc)
+        glued = build_JC(diagram, 2, coloring)
+        assert glued == reference_build_JC(diagram, 2, coloring)
+        # the two lineq markings share their inner nodes, so lineq has no J_all
+        assert glued.host is (skeleton.all or glued)
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [diagram_Fn(3), diagram_G(TreeShape.parse("((..).)")), diagram_G(TreeShape.parse("(..)"))],
+    ids=["F3", "((..).)", "(..)"],
+)
+def test_j_all_is_the_blowup_and_two_disjoint_copies_per_spot(diagram):
+    skeleton = diagram.skeleton(2)
+    fresh = len(diagram.left.domain) + len(diagram.right.domain) - 2 * len(diagram.base.domain)
+    assert len(skeleton.all.domain) == len(skeleton.j.domain) + len(skeleton.spots) * fresh
+    seen = skeleton.blowup[0]
+    for copies in skeleton.parts.values():
+        for mask, _, _ in copies:
+            assert not seen & mask
+            seen |= mask
+    assert seen == skeleton.all.alive
+
+
+DRAWN_JC_CASES = {
+    "F4": (diagram_Fn(4), 2),
+    "((..)(..))": (diagram_G(TreeShape.parse("((..)(..))")), 2),
+    "F3 m=3": (diagram_Fn(3), 3),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DRAWN_JC_CASES)), st.data())
+def test_build_jc_matches_reference_on_drawn_colorings(name, data):
+    diagram, m = DRAWN_JC_CASES[name]
+    spots = diagram.skeleton(m).spots
+    # a drawn subset of the spots in drawn order, each with a drawn side
+    chosen = data.draw(st.permutations(range(len(spots))))[: data.draw(st.integers(0, len(spots)))]
+    sides = data.draw(st.lists(st.sampled_from("LR"), min_size=len(chosen), max_size=len(chosen)))
+    coloring = Coloring([spots[k] for k in chosen], sides)
+    assert build_JC(diagram, m, coloring) == reference_build_JC(diagram, m, coloring)
+
+
+SKELETON_INPUTS = [
+    # the acceptance criteria and the benchmark sweeps
+    (diagram_Fn(2), 4),
+    (diagram_Fn(3), 3),
+    (diagram_Fn(4), 2),
+    (diagram_G(TreeShape.parse("(..)")), 4),
+    (diagram_G(TreeShape.parse("((..).)")), 2),
+    (diagram_G(TreeShape.parse("((..)(..))")), 2),
+    (diagram_lineq(2, AbelianGroup([2])), 2),
+    (diagram_lineq(2, AbelianGroup([2])), 1),
+    # the multiplicity the counting bound asks for
+    (diagram_Fn(3), 9),
+    (diagram_Fn(4), 9),
+    (diagram_G(TreeShape.parse("((..)(..))")), 9),
+]
+
+
+def test_skeleton_budget_admits_every_input():
+    for diagram, m in SKELETON_INPUTS:
+        assert families._skeleton_size(diagram, m) <= families.SKELETON_LIMIT
+
+
+def test_skeleton_size_bounds_j_all():
+    for diagram, m in SKELETON_INPUTS[:6]:
+        j_all = diagram.skeleton(m).all
+        size = len(j_all.domain) + sum(len(ts) for _, ts in j_all.relations_items())
+        assert size <= families._skeleton_size(diagram, m)
+
+
+def test_skeleton_budget_refuses_before_any_spot(monkeypatch):
+    # F_4 at m=30 has 810,000 spots
+    d = diagram_Fn(4)
+    assert families._skeleton_size(d, 30) > families.SKELETON_LIMIT
+
+    def spy(*args):
+        raise AssertionError("spots built before the budget check")
+
+    monkeypatch.setattr(morphisms, "canonical_embeddings", spy)
+    with pytest.raises(BudgetExceeded):
+        d.skeleton(30)
 
 
 def test_gen_pn():

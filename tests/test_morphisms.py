@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from oracles import all_homomorphisms, all_maps, mixed_structures, morphism_kinds, two_relations
 
-from finstruct.core import ElementMap, Signature, SignatureMismatch, Structure, StructureError
+from finstruct.core import (
+    ElementMap,
+    Signature,
+    SignatureMismatch,
+    Structure,
+    StructureError,
+    induced_on_mask,
+)
 from finstruct.families import (
     AbelianGroup,
     build_template,
@@ -258,6 +265,36 @@ def assert_searcher_matches_brute_force(source, target, limit):
     assert [sorted(f.items()) for f in searcher.iter_all(source, limit=limit)] == found[:limit]
     injective = [h for h in expected if len({v for _, v in h}) == len(h)]
     assert sorted(sorted(f.items()) for f in searcher.iter_injective(source)) == injective
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mixed_structures(max_size=3), mixed_structures(max_size=5), st.data())
+def test_search_on_induced_view_matches_standalone_copy(source, host, data):
+    # a view searches its host's rows under its mask, with the set-up its
+    # host keeps per source shared by both views; a standalone copy has rows
+    # of its own; all must give the brute force's maps in its order
+    for _ in range(2):
+        alive = data.draw(st.integers(0, (1 << len(host.domain)) - 1))
+        keep = [x for i, x in enumerate(host.domain) if alive >> i & 1]
+        rels = {
+            name: frozenset(t for t in ts if set(t) <= set(keep))
+            for name, ts in host.relations_items()
+        }
+        view = induced_on_mask(host, alive, rels)
+        copy = Structure(host.signature, keep, rels)
+        expected = all_homomorphisms(source, copy)  # lexicographic in the target's order
+        injective = [h for h in expected if len(set(h.values())) == len(h)]
+        for target in (view, copy):
+            searcher = HomomorphismSearcher(target)
+            first = searcher.find(source)
+            assert (None if first is None else dict(first.items())) == (
+                expected[0] if expected else None
+            )
+            assert [dict(f.items()) for f in searcher.iter_all(source)] == expected
+            assert [dict(f.items()) for f in searcher.iter_all(source, limit=2)] == expected[:2]
+            assert [dict(f.items()) for f in searcher.iter_injective(source)] == injective
+            if first is not None:
+                assert first.target == copy.domain
 
 
 def test_search_restores_a_variable_narrowed_twice():

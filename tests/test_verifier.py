@@ -15,6 +15,7 @@ from finstruct.core import ElementMap, Structure, StructureError, pullback, quot
 from finstruct.families import (
     AbelianGroup,
     Coloring,
+    Diagram,
     FnFamily,
     FN_SIGNATURE,
     GFamily,
@@ -35,6 +36,7 @@ from finstruct.families import (
 )
 from finstruct.morphisms import canonical_embeddings, find_homomorphism
 from finstruct.rng import SplitMix64
+from oracles import reference_build_JC
 from finstruct.verifier import (
     ClassOracle,
     ExpansionSpec,
@@ -300,6 +302,80 @@ def test_check_confusion_sample_mode_deterministic():
         check_confusion(d, 2, oracle, mode="sample", samples=0)
     with pytest.raises(StructureError):
         check_confusion(d, 2, oracle, mode="bogus")
+
+
+def test_check_confusion_sample_budget_before_drawing(monkeypatch):
+    def spy(*args):
+        raise AssertionError("encodings drawn before the sample budget check")
+
+    monkeypatch.setattr(verifier, "SplitMix64", spy)
+    with pytest.raises(BudgetExceeded):
+        check_confusion(
+            diagram_Fn(3), 2, forbh_oracle(FnFamily()), mode="sample",
+            samples=verifier.SAMPLE_LIMIT + 1,
+        )
+
+
+def test_pickled_diagram_carries_no_index_after_a_sweep():
+    d = diagram_Fn(3)
+    oracle = forbh_oracle(FnFamily())
+    report = check_confusion(d, 2, oracle, jobs=1).to_dict()
+    j_all = d.skeleton(2).all
+    assert j_all._index is not None  # the sweep indexed J_all
+    fresh = diagram_Fn(3)
+    fresh.skeleton(2)
+    data = pickle.dumps(d)
+    assert len(data) == len(pickle.dumps(fresh))
+    again = pickle.loads(data)
+    skeleton = again.skeleton(2)
+    for s in (again.base, again.left, again.right, skeleton.j, skeleton.all):
+        assert s._index is None and s._positions is None
+    assert check_confusion(again, 2, oracle, jobs=1).to_dict() == report
+
+
+def _rename_right_fresh(d: Diagram, old: str, new: str) -> Diagram:
+    """``d`` with the right side's fresh element ``old`` renamed ``new``."""
+    name = {x: new if x == old else x for x in d.right.domain}
+    right = Structure(
+        d.right.signature,
+        [name[x] for x in d.right.domain],
+        {r: [tuple(name[x] for x in t) for t in ts] for r, ts in d.right.relations_items()},
+    )
+    right_emb = ElementMap(d.base.domain, right.domain, {a: name[d.right_emb[a]] for a in d.base.domain})
+    return Diagram(d.base, d.left, right, d.left_emb, right_emb)
+
+
+SHARED_FRESH_CASES = {
+    # the right apex named like the left one
+    "F3 blue->red": (_rename_right_fresh(diagram_Fn(3), "blue", "red"), forbh_oracle(FnFamily())),
+    # the blue vertex named like the root of the tree
+    "((..).) blue->t": (
+        _rename_right_fresh(diagram_G(TreeShape.parse("((..).)")), "blue", "t"),
+        forbh_oracle(GFamily()),
+    ),
+    # both markings share every inner node of the tree
+    "lineq Z2 n=2": (
+        diagram_lineq(2, AbelianGroup([2])),
+        consistency_oracle(build_template(AbelianGroup([2])), 2, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_FRESH_CASES))
+def test_shared_fresh_identifier_keeps_copies_apart(name):
+    # the L and R copies at one spot would share names in J_all, so there is
+    # none, and every J_C is its own structure with the reference's verdicts
+    d, oracle = SHARED_FRESH_CASES[name]
+    skeleton = d.skeleton(2)
+    assert skeleton.all is None
+    spots = skeleton.spots
+    for enc in range(1 << len(spots)):
+        coloring = Coloring.from_encoding(spots, enc)
+        glued = build_JC(d, 2, coloring)
+        reference = reference_build_JC(d, 2, coloring)
+        assert glued == reference and glued.host is glued
+        assert oracle.member(glued) == oracle.member(reference)
+        assert oracle.witness(glued) == oracle.witness(reference)
 
 
 def test_check_confusion_parallel_matches_sequential():
