@@ -13,20 +13,14 @@ import contextlib
 import json
 import os
 import sys
+from itertools import islice
 from typing import Optional
 
 from . import bounds as bounds_mod
 from . import consistency, families, verifier
 from .core import ElementMap, Signature, Structure, StructureError
 from .families import AbelianGroup, Diagram, TreeShape
-from .morphisms import (
-    KINDS,
-    check_morphism,
-    enumerate_embeddings,
-    enumerate_homomorphisms,
-    find_homomorphism,
-    is_isomorphic,
-)
+from .morphisms import KINDS, HomomorphismSearcher, check_morphism, is_isomorphic
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -229,31 +223,34 @@ def _parse_mark(text: Optional[str], group: AbelianGroup) -> tuple[int, ...]:
 
 
 def _cmd_hom(args) -> int:
+    """Each map is written and counted as the search finds it, never stored.
+
+    Monomorphisms, embeddings and isomorphisms are injective, and the
+    injective search yields the injective homomorphisms in the order of all
+    of them.  Without ``--all`` or ``--count`` the search stops at the first
+    map.
+    """
     a = load_structure(args.src)
     b = load_structure(args.dst)
     kind = args.kind
-    if kind == "isomorphism" and not (args.all or args.count):
+    listing = args.all or args.count
+    if kind == "isomorphism" and not listing:
         return EXIT_OK if is_isomorphic(a, b) else EXIT_FAIL
-    if kind == "embedding":
-        maps = list(enumerate_embeddings(a, b).members)
-    elif kind == "homomorphism":
-        if args.all or args.count:
-            maps = enumerate_homomorphisms(a, b)
-        else:
-            found = find_homomorphism(a, b)
-            maps = [found] if found is not None else []
+    searcher = HomomorphismSearcher(b)  # a signature mismatch raises at the first step
+    if kind in ("homomorphism", "strong-homomorphism"):
+        maps = searcher.iter_all(a)
     else:
-        maps = [
-            f
-            for f in enumerate_homomorphisms(a, b)
-            if check_morphism(f, a, b, kind)
-        ]
-    if args.all:
-        for f in maps:
+        maps = searcher.iter_injective(a)
+    if kind != "homomorphism":
+        maps = (f for f in maps if check_morphism(f, a, b, kind))
+    count = 0
+    for f in maps if listing else islice(maps, 1):
+        count += 1
+        if args.all:
             sys.stdout.write(json.dumps(dict(f.items()), sort_keys=True) + "\n")
     if args.count:
-        sys.stdout.write(f"{len(maps)}\n")
-    return EXIT_OK if maps else EXIT_FAIL
+        sys.stdout.write(f"{count}\n")
+    return EXIT_OK if count else EXIT_FAIL
 
 
 def _cmd_consist(args) -> int:

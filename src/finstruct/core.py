@@ -302,10 +302,11 @@ class ElementMap:
 
     The full source and target domains are retained so totality is
     derivable.  Maps are immutable and hashable; equality is equality of
-    (source, target, assignment).
+    (source, target, assignment).  The hash is computed on first use and
+    kept, outside pickles: string hashes depend on ``PYTHONHASHSEED``.
     """
 
-    __slots__ = ("_source", "_target", "_assignment", "_key")
+    __slots__ = ("_source", "_target", "_assignment", "_key", "_hash")
 
     def __init__(
         self,
@@ -327,6 +328,14 @@ class ElementMap:
         self._target = tgt
         self._assignment = assign
         self._key = (src, tgt, tuple(sorted(assign.items())))
+        self._hash: Optional[int] = None
+
+    def __getstate__(self):
+        return self._source, self._target, self._assignment, self._key
+
+    def __setstate__(self, state) -> None:
+        self._source, self._target, self._assignment, self._key = state
+        self._hash = None
 
     @classmethod
     def identity(cls, domain: Iterable[str]) -> "ElementMap":
@@ -394,7 +403,9 @@ class ElementMap:
         return isinstance(other, ElementMap) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        if self._hash is None:
+            self._hash = hash(self._key)
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}->{v}" for k, v in self.items())

@@ -9,7 +9,10 @@ are independent of the pruning.
 Values are bits over the target's host (``Structure.mask_index``, built once
 per host and shared by all its views), restricted to the target's ``alive``
 mask; the bit order is the host's identifier order, which on the target is
-its own.
+its own.  One search loop yields each map as those bits: ``find``,
+``iter_all`` and ``iter_injective`` turn them into maps, and
+``image_masks`` into the set of images of all maps, which answers for every
+induced substructure of the target at once.
 """
 
 from __future__ import annotations
@@ -223,12 +226,15 @@ class HomomorphismSearcher:
                         queue.append(j)
         return True
 
-    def _solve(self, source: Structure, injective: bool) -> Iterator[dict[str, str]]:
+    def _solve(self, source: Structure, injective: bool) -> Iterator[list[int]]:
+        """Every homomorphism from ``source`` (injective ones only, if asked),
+        in lexicographic order, as the bits of the values of ``source.domain``.
+        The list is the search's own and changes on resumption: read it first.
+        """
         cand, support, forward, wide_checks = self._prepare(source)
-        order = source.domain
-        n = len(order)
+        n = len(source.domain)
         if n == 0:
-            yield {}
+            yield []
             return
         if injective and n > self._n:
             return
@@ -283,15 +289,21 @@ class HomomorphismSearcher:
             if not ok:
                 continue
             if depth == n - 1:
-                yield {order[i]: values[assign[i]] for i in range(n)}
+                yield assign
                 continue
             depth += 1
             rem[depth] = cand[depth]
             assign[depth] = -1
 
+    def _map(self, source: Structure, assign: list[int]) -> ElementMap:
+        values = self._values
+        return ElementMap(
+            source.domain, self.target.domain, {x: values[v] for x, v in zip(source.domain, assign)}
+        )
+
     def find(self, source: Structure) -> Optional[ElementMap]:
         for assign in self._solve(source, injective=False):
-            return ElementMap(source.domain, self.target.domain, assign)
+            return self._map(source, assign)
         return None
 
     def exists(self, source: Structure) -> bool:
@@ -299,11 +311,26 @@ class HomomorphismSearcher:
 
     def iter_all(self, source: Structure, limit: Optional[int] = None) -> Iterator[ElementMap]:
         for assign in islice(self._solve(source, injective=False), limit):
-            yield ElementMap(source.domain, self.target.domain, assign)
+            yield self._map(source, assign)
 
     def iter_injective(self, source: Structure) -> Iterator[ElementMap]:
         for assign in self._solve(source, injective=True):
-            yield ElementMap(source.domain, self.target.domain, assign)
+            yield self._map(source, assign)
+
+    def image_masks(self, source: Structure) -> set[int]:
+        """The distinct images of all homomorphisms from ``source``, as masks.
+
+        Bit i of a mask is set when the map hits the host's i-th identifier.
+        One search visits every homomorphism, where ``exists`` stops at the
+        first.
+        """
+        images = set()
+        for assign in self._solve(source, injective=False):
+            mask = 0
+            for v in assign:
+                mask |= 1 << v
+            images.add(mask)
+        return images
 
 
 def find_homomorphism(a: Structure, b: Structure) -> Optional[ElementMap]:

@@ -5,7 +5,9 @@ homomorphisms and by local consistency; both are closed under inverse
 homomorphisms, which is what lets the free amalgam decide amalgamation
 failure for every amalgam at once.  Confusion sweeps iterate colorings of
 the canonical blow-up embeddings, glue, and test membership, optionally
-across worker processes.
+across worker processes.  A glued structure that is a view of the skeleton's
+J_all is tested against the images of the family members in J_all, found by
+one search per member and kept by the oracle for that J_all alone.
 """
 
 from __future__ import annotations
@@ -50,14 +52,58 @@ class ClassOracle:
 
 
 class _ForbhMembership:
-    """No family member maps homomorphically into the input."""
+    """No family member maps homomorphically into the input.
+
+    A view (``s.host is not s``, as ``build_JC`` returns when the glue
+    skeleton has J_all) is answered from its host's images.  A homomorphism
+    into an induced substructure is exactly a homomorphism into the whole
+    structure whose image lies inside it (Hell & Nešetřil, *Graphs and
+    Homomorphisms*, 2004).  So a member maps into the view iff one of its
+    image masks on the host (``HomomorphismSearcher.image_masks``) lies
+    inside ``s.alive``.  The members tested are those ``family(s)`` yields,
+    as for a plain structure, so each view's verdict is unchanged; for a
+    glued J_C, ``build_JC`` proves that J_C is J_all induced on ``alive``.
+
+    The images of each member are found by one search of the host, which
+    visits every homomorphism where a per-view ``exists`` stops at the
+    first: a sweep gains once a few colorings share the host, while a
+    single coloring pays more.  The memo holds one host at a time, the one
+    most recently asked about, and is left out of pickles, so each worker
+    rebuilds it from its own copy of the host.  A plain structure is
+    searched directly, and ``explain`` searches the view itself.
+    """
 
     def __init__(self, family):
         self.family = family
+        self._host: Optional[Structure] = None
+        self._images: dict[Structure, tuple[int, ...]] = {}  # per member, on _host
+
+    def __getstate__(self):
+        return {"family": self.family}
+
+    def __setstate__(self, state) -> None:
+        self.__init__(state["family"])
+
+    def _host_images(self, host: Structure, member: Structure) -> tuple[int, ...]:
+        if host is not self._host:
+            self._host = host
+            self._images = {}
+        images = self._images.get(member)
+        if images is None:
+            images = self._images[member] = tuple(HomomorphismSearcher(host).image_masks(member))
+        return images
 
     def __call__(self, s: Structure) -> bool:
-        searcher = HomomorphismSearcher(s)
-        return not any(searcher.exists(member) for member in self.family(s))
+        host = s.host
+        if host is s:
+            searcher = HomomorphismSearcher(s)
+            return not any(searcher.exists(member) for member in self.family(s))
+        dead = ~s.alive
+        return not any(
+            not image & dead
+            for member in self.family(s)
+            for image in self._host_images(host, member)
+        )
 
     def explain(self, s: Structure) -> Optional[str]:
         searcher = HomomorphismSearcher(s)

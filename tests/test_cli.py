@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finstruct import cli
-from finstruct.core import Signature, Structure
+from finstruct.core import Signature, Structure, disjoint_union, quotient
 from finstruct.families import AbelianGroup, build_template, diagram_Fn, diagram_lineq, gen_Fn
+from finstruct.morphisms import check_morphism, enumerate_homomorphisms
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -121,6 +122,31 @@ def test_hom_exit_codes(tmp_path, capsys):
     iso_count = ("--kind", "isomorphism", "--count")
     assert run(capsys, "hom", "--from", str(f3), "--to", str(f3), *iso_count) == (0, "1\n")
     assert run(capsys, "hom", "--from", str(f3), "--to", str(f4), *iso_count) == (1, "0\n")
+
+
+def test_hom_lists_and_counts_the_library_maps(tmp_path, capsys):
+    # the maps are written and counted as the search finds them; the bytes
+    # are those of the library's full list, in its order
+    f3 = gen_Fn(3)
+    folded, _ = quotient(f3, [["red", "blue"], ["v1"], ["v2"], ["v3"]])
+    targets = {
+        "F_4 free amalgam": diagram_Fn(4).free_amalgam().amalgam,  # no map
+        "F_3 J_all at m=2": diagram_Fn(3).skeleton(2).all,  # 8 maps, all injective
+        "F_3 beside its fold": disjoint_union(f3, folded)[0],  # 2 maps, 1 injective
+    }
+    src = write_structure(tmp_path / "f3.json", f3)
+    for name, target in targets.items():
+        dst = write_structure(tmp_path / "dst.json", target)
+        for kind in ("homomorphism", "monomorphism"):
+            maps = [f for f in enumerate_homomorphisms(f3, target) if check_morphism(f, f3, target, kind)]
+            listed = "".join(json.dumps(dict(f.items()), sort_keys=True) + "\n" for f in maps)
+            counted = f"{len(maps)}\n"
+            code = 0 if maps else 1
+            argv = ("hom", "--from", src, "--to", dst, "--kind", kind)
+            assert run(capsys, *argv, "--all") == (code, listed), (name, kind)
+            assert run(capsys, *argv, "--count") == (code, counted), (name, kind)
+            assert run(capsys, *argv, "--all", "--count") == (code, listed + counted), (name, kind)
+            assert run(capsys, *argv) == (code, ""), (name, kind)
 
 
 def _cap_address_space() -> None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mixed_structures, reference_height, two_relations
+from oracles import inside, mixed_structures, reference_height, standalone_copy, two_relations
 
 from finstruct import core
 from finstruct.core import (
@@ -69,21 +69,6 @@ def test_positions_index_the_sorted_domain():
     assert s == fresh and hash(s) == hash(fresh)  # the index takes no part
     with pytest.raises(StructureError):
         s.positions("Q")
-
-
-def inside(host: Structure, alive: int) -> dict:
-    """The host's tuples among the masked elements, per symbol."""
-    keep = {x for i, x in enumerate(host.host.domain) if alive >> i & 1}
-    return {
-        name: frozenset(t for t in ts if keep.issuperset(t)) for name, ts in host.relations_items()
-    }
-
-
-def standalone_copy(host: Structure, alive: int) -> Structure:
-    """The host's substructure on the masked elements, rebuilt and checked by Structure."""
-    keep = [x for i, x in enumerate(host.domain) if alive >> i & 1]
-    rels = {name: [t for t in ts if set(t) <= set(keep)] for name, ts in host.relations_items()}
-    return Structure(host.signature, keep, rels)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -359,3 +344,14 @@ def test_element_map_basics():
         ElementMap(["a"], ["x"], {"q": "x"})
     with pytest.raises(DomainError):
         ElementMap(["a"], ["x"], {"a": "q"})
+
+
+def test_element_map_hash_is_kept_out_of_pickles():
+    # string hashes depend on PYTHONHASHSEED, so a cached one must not travel
+    f = ElementMap(["a", "b"], ["x", "y"], {"a": "x", "b": "y"})
+    h = hash(f)
+    assert f._hash == h and hash(f) == h
+    assert h not in f.__getstate__()
+    again = pickle.loads(pickle.dumps(f))
+    assert again._hash is None
+    assert again == f and hash(again) == h and again.items() == f.items()

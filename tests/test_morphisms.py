@@ -265,6 +265,9 @@ def assert_searcher_matches_brute_force(source, target, limit):
     assert [sorted(f.items()) for f in searcher.iter_all(source, limit=limit)] == found[:limit]
     injective = [h for h in expected if len({v for _, v in h}) == len(h)]
     assert sorted(sorted(f.items()) for f in searcher.iter_injective(source)) == injective
+    bit = {x: 1 << i for i, x in enumerate(target.domain)}
+    images = {sum(bit[v] for v in {v for _, v in h}) for h in expected}
+    assert searcher.image_masks(source) == images
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -295,6 +298,12 @@ def test_search_on_induced_view_matches_standalone_copy(source, host, data):
             assert [dict(f.items()) for f in searcher.iter_injective(source)] == injective
             if first is not None:
                 assert first.target == copy.domain
+        # the host's images inside the mask are exactly the view's images
+        bit = {x: 1 << i for i, x in enumerate(host.domain)}
+        images = {sum(bit[v] for v in set(h.values())) for h in expected}
+        host_images = HomomorphismSearcher(host).image_masks(source)
+        assert {img for img in host_images if not img & ~alive} == images
+        assert HomomorphismSearcher(view).image_masks(source) == images
 
 
 def test_search_restores_a_variable_narrowed_twice():

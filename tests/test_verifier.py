@@ -36,7 +36,7 @@ from finstruct.families import (
 )
 from finstruct.morphisms import canonical_embeddings, find_homomorphism
 from finstruct.rng import SplitMix64
-from oracles import reference_build_JC
+from oracles import inside, mixed_structures, reference_build_JC, standalone_copy
 from finstruct.verifier import (
     ClassOracle,
     ExpansionSpec,
@@ -376,6 +376,132 @@ def test_shared_fresh_identifier_keeps_copies_apart(name):
         assert glued == reference and glued.host is glued
         assert oracle.member(glued) == oracle.member(reference)
         assert oracle.witness(glued) == oracle.witness(reference)
+
+
+class FixedMembers:
+    """A family that yields the same members for every input: a hand-made
+    Forb_h class.  A class at module level, so that workers can unpickle it."""
+
+    def __init__(self, members):
+        self.members = tuple(members)
+
+    def __call__(self, s):
+        return iter(self.members)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    mixed_structures(max_size=5),
+    st.lists(mixed_structures(max_size=3), min_size=1, max_size=3),
+    st.data(),
+)
+def test_forbh_on_views_matches_standalone_copies(host, members, data):
+    # one oracle answers several views of one host from the host's images;
+    # each verdict and witness must be that of a structure built on its own
+    oracle = forbh_oracle(FixedMembers(members))
+    for _ in range(3):
+        alive = data.draw(st.integers(0, (1 << len(host.domain)) - 1))
+        view = core.induced_on_mask(host, alive, inside(host, alive))
+        copy = standalone_copy(host, alive)
+        assert view.host is host and copy.host is copy
+        assert oracle.member(view) == oracle.member(copy)
+        assert oracle.witness(view) == oracle.witness(copy)
+
+
+RED_BLUE_NEIGHBOUR = Structure(
+    FN_SIGNATURE,
+    ["r", "b", "v"],
+    {"R": [("r",)], "B": [("b",)], "E": [("r", "v"), ("v", "r"), ("b", "v"), ("v", "b")]},
+)
+RED_EDGE_BLUE = Structure(
+    FN_SIGNATURE,
+    ["r", "v", "w", "b"],
+    {
+        "R": [("r",)],
+        "B": [("b",)],
+        "Ed": [("v", "w")],
+        "E": [("r", "v"), ("v", "r"), ("w", "b"), ("b", "w")],
+    },
+)
+TWO_REDS_NEIGHBOUR = Structure(
+    FN_SIGNATURE,
+    ["r1", "r2", "v"],
+    {"R": [("r1",), ("r2",)], "E": [("r1", "v"), ("v", "r1"), ("r2", "v"), ("v", "r2")]},
+)
+RED_ROOT_ED1_CHILD_BLUE = Structure(
+    G_SIGNATURE,
+    ["r", "c", "b"],
+    {"R": [("r",)], "B": [("b",)], "Ed1": [("r", "c")], "E": [("c", "b"), ("b", "c")]},
+)
+# (diagram, the one member forbidden, failing colorings at m=2)
+FAILING_SWEEPS = {
+    "F_2 red and blue share a neighbour": (diagram_Fn(2), RED_BLUE_NEIGHBOUR, 14),
+    "F_3 red and blue share a neighbour": (diagram_Fn(3), RED_BLUE_NEIGHBOUR, 254),
+    "F_3 red-v Ed w-blue": (diagram_Fn(3), RED_EDGE_BLUE, 254),
+    "F_2 two reds share a neighbour": (diagram_Fn(2), TWO_REDS_NEIGHBOUR, 15),
+    "(..) red root's Ed1 child sees blue": (
+        diagram_G(TreeShape.parse("(..)")),
+        RED_ROOT_ED1_CHILD_BLUE,
+        12,
+    ),
+    "((..).) red root's Ed1 child sees blue": (
+        diagram_G(TreeShape.parse("((..).)")),
+        RED_ROOT_ED1_CHILD_BLUE,
+        252,
+    ),
+}
+
+
+def reference_failures(d: Diagram, m: int, oracle: ClassOracle) -> list:
+    """Failing encodings and their evidence, each glued structure rebuilt on its own."""
+    spots = d.skeleton(m).spots
+    failures = []
+    for enc in range(1 << len(spots)):
+        reference = reference_build_JC(d, m, Coloring.from_encoding(spots, enc))
+        assert reference.host is reference
+        if not oracle.member(reference):
+            failures.append((enc, oracle.witness(reference)))
+    return failures
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_SWEEPS))
+def test_failing_sweeps_on_views_match_reference_build(name):
+    # every J_C is a view of J_all, answered from J_all's images
+    d, member, count = FAILING_SWEEPS[name]
+    oracle = forbh_oracle(FixedMembers([member]))
+    spots = d.skeleton(2).spots
+    failures = []
+    for enc in range(1 << len(spots)):
+        glued = build_JC(d, 2, Coloring.from_encoding(spots, enc))
+        assert glued.host is d.skeleton(2).all
+        if not oracle.member(glued):
+            failures.append((enc, oracle.witness(glued)))
+    assert len(failures) == count
+    assert failures == reference_failures(d, 2, oracle)
+
+
+def test_failing_sweep_across_workers_matches_reference_build():
+    # each worker unpickles the oracle without its memo and rebuilds it
+    d, member, count = FAILING_SWEEPS["F_3 red and blue share a neighbour"]
+    oracle = forbh_oracle(FixedMembers([member]))
+    one = check_confusion(d, 2, oracle, jobs=1)
+    two = check_confusion(d, 2, oracle, jobs=2)
+    assert one.to_dict() == two.to_dict()
+    assert list(two.failures) == reference_failures(d, 2, oracle) and len(two.failures) == count
+
+
+def test_forbh_memo_holds_one_host_outside_pickles():
+    family = FixedMembers([RED_BLUE_NEIGHBOUR])
+    oracle = forbh_oracle(family)
+    impl = oracle.membership
+    for d in (diagram_Fn(3), diagram_Fn(2)):
+        report = check_confusion(d, 2, oracle, jobs=1)
+        # the second sweep replaces the first host and its images
+        assert impl._host is d.skeleton(2).all and impl._images
+        assert list(report.failures) == reference_failures(d, 2, oracle)
+        assert len(pickle.dumps(oracle)) == len(pickle.dumps(forbh_oracle(family)))
+    again = pickle.loads(pickle.dumps(oracle)).membership
+    assert again._host is None and not again._images
 
 
 def test_check_confusion_parallel_matches_sequential():
