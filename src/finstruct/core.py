@@ -86,10 +86,11 @@ class Structure:
     structures are equal iff signature, domain and all relations coincide.
 
     A structure built by ``induced_on_mask`` is a view: it keeps the host it
-    was cut from and the mask of its elements over the host's sorted domain.
-    Any other structure is its own host with the full mask.  The host, the
-    mask and the lazily built indexes stay out of equality and hashing,
-    and the indexes stay out of pickles; a pickled view carries its host.
+    was cut from and the mask of its elements over the host's sorted domain,
+    and its relations are the host's tuples inside its domain, derived on
+    first read.  Any other structure is its own host with the full mask.
+    The host, the mask and the lazily built indexes stay out of equality
+    and hashing, and the indexes out of pickles; a view pickles its host.
     """
 
     __slots__ = (
@@ -138,7 +139,7 @@ class Structure:
         self._signature = signature
         self._domain = domain
         self._domain_set = domain_set
-        self._relations = relations
+        self._relations = relations  # None: a view's, derived on first read
         self._host: Optional[Structure] = host  # None: its own host
         self._alive: Optional[int] = alive  # None: the full mask
         self._hash: Optional[int] = None  # computed on first use; sweeps never hash
@@ -146,7 +147,7 @@ class Structure:
         self._index: Optional[MaskIndex] = None  # built on first use, hosts only
 
     def __getstate__(self):
-        return self._signature, self._domain, self._relations, self._host, self._alive
+        return self._signature, self._domain, self._rels(), self._host, self._alive
 
     def __setstate__(self, state) -> None:
         signature, domain, relations, host, alive = state
@@ -164,9 +165,19 @@ class Structure:
     def domain_set(self) -> frozenset[str]:
         return self._domain_set
 
+    def _rels(self) -> dict[str, frozenset[tuple[str, ...]]]:
+        """The relations; a view derives them from its host on the first call."""
+        if self._relations is None:
+            keep = self._domain_set
+            self._relations = {
+                name: frozenset(t for t in ts if keep.issuperset(t))
+                for name, ts in self._host.relations_items()
+            }
+        return self._relations
+
     def relation(self, name: str) -> frozenset[tuple[str, ...]]:
         try:
-            return self._relations[name]
+            return self._rels()[name]
         except KeyError:
             raise StructureError(f"unknown relation symbol: {name!r}") from None
 
@@ -184,7 +195,7 @@ class Structure:
             index = {x: i for i, x in enumerate(self._domain)}
             self._positions = {
                 n: tuple(tuple(map(index.__getitem__, t)) for t in ts)
-                for n, ts in self._relations.items()
+                for n, ts in self._rels().items()
             }
         try:
             return self._positions[name]
@@ -193,7 +204,7 @@ class Structure:
 
     def relations_items(self) -> Iterator[tuple[str, frozenset[tuple[str, ...]]]]:
         for name in self._signature.names:
-            yield name, self._relations[name]
+            yield name, self._rels()[name]
 
     @property
     def host(self) -> "Structure":
@@ -227,7 +238,7 @@ class Structure:
             isinstance(other, Structure)
             and self._signature == other._signature
             and self._domain == other._domain
-            and self._relations == other._relations
+            and self._rels() == other._rels()
         )
 
     def __hash__(self) -> int:
@@ -236,7 +247,7 @@ class Structure:
                 (
                     self._signature,
                     self._domain,
-                    tuple(sorted((n, tuple(sorted(ts))) for n, ts in self._relations.items())),
+                    tuple(sorted((n, tuple(sorted(ts))) for n, ts in self._rels().items())),
                 )
             )
         return self._hash
@@ -444,19 +455,15 @@ def induced_substructure(s: Structure, subset: Iterable[str]) -> Structure:
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def induced_on_mask(
-    host: Structure, alive: int, relations: Mapping[str, frozenset[tuple[str, ...]]]
-) -> Structure:
+def induced_on_mask(host: Structure, alive: int) -> Structure:
     """Substructure of ``host`` induced on the elements whose bits are set in ``alive``.
 
     Bit i stands for ``host.host.domain[i]``, and ``alive`` must lie inside
-    ``host.alive``.  ``relations`` must map every symbol to exactly the
-    host's tuples inside the mask, as a frozenset; the caller knows them
-    (``families.build_JC`` joins precomputed sets), and they are kept as
-    given, not checked.  The result is a view that keeps the host and the
-    mask, so its searchers and heights read the host's ``mask_index``.
-    Its domain is read off the sorted host domain, so it is sorted already
-    and its identifiers are valid; nothing is sorted or checked again.
+    ``host.alive``.  The result is a view that keeps the root host and the
+    mask, so its searchers and heights read the host's ``mask_index``, and
+    its relations are derived from the host's tuples when first read.  Its
+    domain is read off the sorted host domain, so it is sorted already and
+    its identifiers are valid; nothing is sorted or checked again.
     """
     root = host.host
     if alive < 0 or alive & ~host.alive:
@@ -466,7 +473,7 @@ def induced_on_mask(
     flags = format(alive, f"0{n}b").encode()[::-1].translate(_BIT_FLAGS)
     domain = tuple(compress(root.domain, flags))
     view = Structure.__new__(Structure)
-    view._set(host.signature, domain, frozenset(domain), relations, root, alive)
+    view._set(host.signature, domain, frozenset(domain), None, root, alive)
     return view
 
 

@@ -593,19 +593,17 @@ class _JCSkeleton:
     copies at a spot into elements carrying both copies' tuples, and
     ``all`` is None.
 
-    Relations are rows of frozensets aligned with ``names``, the
-    signature's symbols.  ``blowup`` is ``(mask, domain, row)`` for the
-    blow-up, and ``parts[side][k]`` the same for that copy: its fresh
-    elements as a mask over J_all's sorted domain (0 when there is no
-    J_all) and as names, and its tuples that mention a fresh element.  A
-    copy's other tuples lie among glued elements; since the side map is an
-    embedding each is the image of a base tuple, carried by the spot into
-    the blow-up, where it already is.  Nothing here depends on a coloring.
+    ``blowup`` is the mask of the blow-up's elements over J_all's sorted
+    domain, and ``parts[side][k]`` is ``(mask, (fresh, tuples))`` for the
+    copy of that side at spot k: the mask of its fresh elements, and its
+    fresh names and per-symbol tuples as ``_spot_parts`` renders them.
+    Masks are 0 when there is no J_all, and only then are the rendered
+    names and tuples read.  Nothing here depends on a coloring.
     ``_skeleton_size`` is checked against ``SKELETON_LIMIT`` before any
     spot is built, and a larger skeleton raises ``BudgetExceeded``.
     """
 
-    __slots__ = ("j", "spots", "spot_index", "all", "names", "blowup", "parts")
+    __slots__ = ("j", "spots", "spot_index", "all", "blowup", "parts")
 
     def __init__(self, diagram: Diagram, m: int):
         size = _skeleton_size(diagram, m)
@@ -626,39 +624,29 @@ class _JCSkeleton:
             ]
             for side in ("L", "R")
         }
-        domain = list(self.j.domain)
-        for copies in rendered.values():
-            for fresh, _ in copies:
-                domain.extend(fresh)
+        both = rendered["L"] + rendered["R"]
+        fresh = [x for names, _ in both for x in names]
         self.all: Optional[Structure] = None
         bit: dict[str, int] = {}
-        if len(set(domain)) == len(domain):
-            rels = {name: set(ts) for name, ts in self.j.relations_items()}
-            for copies in rendered.values():
-                for _, tuples in copies:
-                    for name, ts in tuples.items():
-                        rels[name].update(ts)
-            self.all = Structure(diagram.base.signature, domain, rels)
+        if len(set(fresh)) == len(fresh):
+            self.all = _glue(diagram.base.signature, self.j, both)
             bit = {x: 1 << i for i, x in enumerate(self.all.domain)}
-        self.names = diagram.base.signature.names
-        self.blowup = (
-            sum(bit.get(x, 0) for x in self.j.domain),
-            self.j.domain,
-            tuple(self.j.relation(name) for name in self.names),
-        )
-
-        def piece(fresh: list[str], tuples: dict):
-            new = set(fresh)
-            row = tuple(
-                frozenset(t for t in tuples.get(name, ()) if not new.isdisjoint(t))
-                for name in self.names
-            )
-            return sum(bit.get(x, 0) for x in fresh), tuple(fresh), row
-
+        self.blowup = sum(bit.get(x, 0) for x in self.j.domain)
         self.parts = {
-            side: [piece(fresh, tuples) for fresh, tuples in copies]
+            side: [(sum(bit.get(x, 0) for x in names), (names, tuples)) for names, tuples in copies]
             for side, copies in rendered.items()
         }
+
+
+def _glue(signature: Signature, j: Structure, copies: Iterable[tuple[list, dict]]) -> Structure:
+    """The blow-up ``j`` joined with rendered side copies, built and checked by ``Structure``."""
+    domain = list(j.domain)
+    rels = {name: set(ts) for name, ts in j.relations_items()}
+    for fresh, tuples in copies:
+        domain.extend(fresh)
+        for name, ts in tuples.items():
+            rels[name].update(ts)
+    return Structure(signature, domain, rels)
 
 
 def build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
@@ -670,36 +658,33 @@ def build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
     target, is the lifted embedding of the base.  Fresh copies are named
     by their spot's index in the lexicographic spot order.
 
-    J_C's relations are the blow-up's joined with the chosen copies' rows:
-    a chosen copy's other tuples are in the blow-up already (see
-    ``_JCSkeleton``).  When the skeleton has J_all, J_C is J_all induced
-    on ``alive``, the blow-up and the fresh elements of the chosen copies.
-    No two copies share a name there, and every tuple of J_all comes from
-    the blow-up or from one copy, so none joins fresh elements of two
-    copies; a tuple inside ``alive`` is thus a blow-up tuple, a chosen
-    copy's, or an unchosen copy's among glued elements only, which the
-    blow-up holds already.  So ``core.induced_on_mask`` gets exactly the
-    host's tuples inside the mask and takes them without checking them
-    again: J_all was checked when the skeleton was built.  Without J_all,
-    J_C is built and checked as a structure of its own.
+    When the skeleton has J_all, J_C is J_all induced on ``alive``, the
+    blow-up and the fresh elements of the chosen copies.  Every tuple of
+    J_C is in J_all and inside ``alive``.  Conversely, no two copies share
+    a name in J_all, and every tuple of J_all comes from the blow-up or
+    from one copy, so none joins fresh elements of two copies.  A tuple of
+    J_all inside ``alive`` is thus a blow-up tuple, a chosen copy's, or an
+    unchosen copy's among glued elements only.  The last is the image of a
+    base tuple, since the side map is an embedding, carried by the spot
+    into the blow-up, which holds it already.  So ``core.induced_on_mask``
+    gives J_C, its tuples derived from J_all, which was checked when the
+    skeleton was built.  Without J_all, J_C is built and checked as a
+    structure of its own.
     """
     skeleton = diagram.skeleton(m)
     try:
-        pieces = [skeleton.blowup] + [
+        pieces = [
             skeleton.parts[side][skeleton.spot_index[spot]]
             for spot, side in zip(coloring.spots, coloring.sides)
         ]
     except KeyError:
         raise StructureError("coloring mentions a spot outside the canonical embeddings") from None
-    columns = zip(*(row for _, _, row in pieces))  # per symbol: the blow-up's set, then the copies'
-    rels = {name: first.union(*rest) for name, (first, *rest) in zip(skeleton.names, columns)}
     if skeleton.all is None:
-        domain = [x for _, fresh, _ in pieces for x in fresh]
-        return Structure(diagram.base.signature, domain, rels)
-    alive = 0
-    for mask, _, _ in pieces:
+        return _glue(diagram.base.signature, skeleton.j, [part for _, part in pieces])
+    alive = skeleton.blowup
+    for mask, _ in pieces:
         alive |= mask
-    return core.induced_on_mask(skeleton.all, alive, rels)
+    return core.induced_on_mask(skeleton.all, alive)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ homomorphisms and by local consistency; both are closed under inverse
 homomorphisms, which is what lets the free amalgam decide amalgamation
 failure for every amalgam at once.  Confusion sweeps iterate colorings of
 the canonical blow-up embeddings, glue, and test membership, optionally
-across worker processes.  A glued structure that is a view of the skeleton's
-J_all is tested against the images of the family members in J_all, found by
-one search per member and kept by the oracle for that J_all alone.
+across worker processes in one contiguous share of colorings per worker.
+A glued J_C is a mask over the skeleton's J_all, its tuples derived only
+when read.  It is tested against the images of the family members in
+J_all, found by one search per member and kept for that J_all alone.
 """
 
 from __future__ import annotations
@@ -255,8 +256,10 @@ def check_confusion(
     or any encoding drawn.  The diagram must already witness failure of
     amalgamation for the oracle.  The spots and the glue skeleton are the
     diagram's own (``Diagram.skeleton``), so worker processes receive them
-    with the pickled diagram.  Failures are reported sorted by coloring
-    encoding; the verdict is true when no coloring left the class.
+    with the pickled diagram.  With ``jobs`` above 1 the encodings are cut
+    into at most ``jobs`` contiguous shares, in order, and each share
+    unpickles and searches J_all once.  Failures are reported sorted by
+    coloring encoding; the verdict is true when no coloring left the class.
     """
     if not witnesses_failure(diagram, oracle):
         raise StructureError("diagram does not witness failure of amalgamation")
@@ -281,13 +284,13 @@ def check_confusion(
         raise StructureError(f"unknown mode {mode!r}")
     spots = diagram.skeleton(m).spots
     if mode == "exhaustive":
-        encodings: list[int] = list(range(1 << n_spots))
+        encodings: Sequence[int] = range(1 << n_spots)
     else:
         rng = SplitMix64(seed)
         encodings = [rng.next_bits(n_spots) for _ in range(samples)]
 
     if jobs > 1 and len(encodings) >= 4 * jobs:
-        chunk_size = max(64, len(encodings) // (jobs * 8))
+        chunk_size = -(-len(encodings) // jobs)  # one share per worker
         chunks = [
             (diagram, m, oracle, encodings[i : i + chunk_size])
             for i in range(0, len(encodings), chunk_size)

@@ -5,8 +5,8 @@ enumerated as raw products and checked against the definitions directly,
 and the game oracle computes the spoiler-win set as a least fixpoint over
 the explicit move graph.  ``mixed_structures`` and ``two_relations`` draw
 the small random structures the property tests feed to both sides;
-``inside`` and ``standalone_copy`` give a host's substructure on a mask as
-a view's tuples and as a structure built and checked on its own.
+``standalone_copy`` gives a host's substructure on a mask as a structure
+built and checked on its own, to compare views against.
 
 Three exceptions are the library's earlier, plainer forms, kept to check
 the faster ones against: ``reference_run``, the (k,l) fixpoint's deletion
@@ -309,14 +309,6 @@ def reference_build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structur
         for name, ts in tuples.items():
             rels[name].update(ts)
     return Structure(diagram.base.signature, domain, rels)
-
-
-def inside(host: Structure, alive: int) -> dict:
-    """The host's tuples among the masked elements, per symbol."""
-    keep = {x for i, x in enumerate(host.host.domain) if alive >> i & 1}
-    return {
-        name: frozenset(t for t in ts if keep.issuperset(t)) for name, ts in host.relations_items()
-    }
 
 
 def standalone_copy(host: Structure, alive: int) -> Structure:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import inside, mixed_structures, reference_height, standalone_copy, two_relations
+from oracles import MIXED, mixed_structures, reference_height, standalone_copy, two_relations
 
 from finstruct import core
 from finstruct.core import (
@@ -30,8 +30,14 @@ from finstruct.core import (
     reduct,
     union,
 )
+from finstruct.consistency import is_consistent
 from finstruct.families import diagram_Fn, diagram_lineq, gen_Fn, AbelianGroup
-from finstruct.morphisms import canonical_embeddings, check_morphism, is_isomorphic
+from finstruct.morphisms import (
+    HomomorphismSearcher,
+    canonical_embeddings,
+    check_morphism,
+    is_isomorphic,
+)
 
 SIG = Signature([("E", 2), ("P", 1)])
 
@@ -76,27 +82,60 @@ def test_positions_index_the_sorted_domain():
 def test_induced_view_matches_standalone_copy(host, data):
     full = (1 << len(host.domain)) - 1
     alive = data.draw(st.integers(0, full))
-    view = induced_on_mask(host, alive, inside(host, alive))
+    view = induced_on_mask(host, alive)
+    assert view._relations is None  # derived from the host on first read
     copy = standalone_copy(host, alive)
+    assert dict(view.relations_items()) == dict(copy.relations_items())
     assert view == copy and view.domain == copy.domain and hash(view) == hash(copy)
     assert view.domain_set == copy.domain_set
     assert view.host is host and view.alive == alive
     assert host.host is host and host.alive == full
     # a view of a view is cut from the same host
     inner = alive & data.draw(st.integers(0, full))
-    nested = induced_on_mask(view, inner, inside(view, inner))
+    nested = induced_on_mask(view, inner)
     assert nested == standalone_copy(host, inner) and nested.host is host
     assert nested.mask_index() is host.mask_index()
     if alive != full:
         with pytest.raises(DomainError):
-            induced_on_mask(view, full, inside(host, full))
+            induced_on_mask(view, full)
     with pytest.raises(DomainError):
-        induced_on_mask(host, full + 1, inside(host, full))
+        induced_on_mask(host, full + 1)
+
+
+# every symbol has tuples the drawn views can and cannot map onto
+MIXED_TARGET = Structure(
+    MIXED,
+    ["a", "b"],
+    {
+        "U": [("a",)],
+        "E": [("a", "b"), ("b", "a"), ("b", "b")],
+        "T": [("b", "b", "b"), ("a", "b", "a")],
+    },
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(mixed_structures(), st.data())
+def test_view_tuples_feed_search_and_consistency(host, data):
+    # a view's derived tuples, read through positions, drive the search when
+    # the view is the source and the (k,l) fixpoint when it is the instance
+    searcher = HomomorphismSearcher(MIXED_TARGET)
+    for _ in range(2):
+        alive = data.draw(st.integers(0, (1 << len(host.domain)) - 1))
+        view = induced_on_mask(host, alive)
+        copy = standalone_copy(host, alive)
+        for name in MIXED.names:
+            assert sorted(view.positions(name)) == sorted(copy.positions(name))
+        assert [f.items() for f in searcher.iter_all(view)] == [
+            f.items() for f in searcher.iter_all(copy)
+        ]
+        for k, l in ((1, 2), (2, 3)):
+            assert is_consistent(view, MIXED_TARGET, k, l) == is_consistent(copy, MIXED_TARGET, k, l)
 
 
 def test_views_pickle_without_indexes():
     host = tiny(["a", "b", "c"], edges=[("a", "b"), ("b", "c")], points=["a"])
-    view = induced_on_mask(host, 0b011, inside(host, 0b011))
+    view = induced_on_mask(host, 0b011)
     assert height(view, ("E",)) == 1 and host._index is not None
     hash(host)
     again = pickle.loads(pickle.dumps(view))
@@ -110,7 +149,7 @@ def test_views_pickle_without_indexes():
 def test_height_matches_reference(host, data):
     assert height(host, ("E",)) == reference_height(host, ("E",))
     alive = data.draw(st.integers(0, (1 << len(host.domain)) - 1))
-    view = induced_on_mask(host, alive, inside(host, alive))
+    view = induced_on_mask(host, alive)
     assert height(view, ("E",)) == reference_height(view, ("E",))
 
 
@@ -119,17 +158,17 @@ def test_height_matches_reference(host, data):
 def test_height_of_two_relations_matches_reference(host, data):
     assert height(host, ("E", "F")) == reference_height(host, ("E", "F"))
     alive = data.draw(st.integers(0, (1 << len(host.domain)) - 1))
-    view = induced_on_mask(host, alive, inside(host, alive))
+    view = induced_on_mask(host, alive)
     assert height(view, ("E", "F")) == reference_height(view, ("E", "F"))
 
 
 def test_height_examples():
     path = tiny(["a", "b", "c", "d"], edges=[("a", "b"), ("b", "c"), ("c", "d")])
     assert height(path, ("E",)) == 3
-    assert height(induced_on_mask(path, 0b1011, inside(path, 0b1011)), ("E",)) == 1  # c dropped
+    assert height(induced_on_mask(path, 0b1011), ("E",)) == 1  # c dropped
     cycle = tiny(["a", "b", "c", "d"], edges=[("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
     assert height(cycle, ("E",)) is None
-    assert height(induced_on_mask(cycle, 0b1110, inside(cycle, 0b1110)), ("E",)) == 2  # a dropped
+    assert height(induced_on_mask(cycle, 0b1110), ("E",)) == 2  # a dropped
     assert height(tiny(["a"], edges=[("a", "a")]), ("E",)) is None
     assert height(tiny([]), ("E",)) == 0 and height(tiny(["a", "b"]), ("E",)) == 0
     with pytest.raises(StructureError):

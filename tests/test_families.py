@@ -330,9 +330,9 @@ def test_j_all_is_the_blowup_and_two_disjoint_copies_per_spot(diagram):
     skeleton = diagram.skeleton(2)
     fresh = len(diagram.left.domain) + len(diagram.right.domain) - 2 * len(diagram.base.domain)
     assert len(skeleton.all.domain) == len(skeleton.j.domain) + len(skeleton.spots) * fresh
-    seen = skeleton.blowup[0]
+    seen = skeleton.blowup
     for copies in skeleton.parts.values():
-        for mask, _, _ in copies:
+        for mask, _ in copies:
             assert not seen & mask
             seen |= mask
     assert seen == skeleton.all.alive

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_homomorphisms, all_maps, mixed_structures, morphism_kinds, two_relations
+from oracles import (
+    all_homomorphisms,
+    all_maps,
+    mixed_structures,
+    morphism_kinds,
+    standalone_copy,
+    two_relations,
+)
 
 from finstruct.core import (
     ElementMap,
@@ -278,13 +285,8 @@ def test_search_on_induced_view_matches_standalone_copy(source, host, data):
     # of its own; all must give the brute force's maps in its order
     for _ in range(2):
         alive = data.draw(st.integers(0, (1 << len(host.domain)) - 1))
-        keep = [x for i, x in enumerate(host.domain) if alive >> i & 1]
-        rels = {
-            name: frozenset(t for t in ts if set(t) <= set(keep))
-            for name, ts in host.relations_items()
-        }
-        view = induced_on_mask(host, alive, rels)
-        copy = Structure(host.signature, keep, rels)
+        view = induced_on_mask(host, alive)
+        copy = standalone_copy(host, alive)
         expected = all_homomorphisms(source, copy)  # lexicographic in the target's order
         injective = [h for h in expected if len(set(h.values())) == len(h)]
         for target in (view, copy):

@@ -36,7 +36,7 @@ from finstruct.families import (
 )
 from finstruct.morphisms import canonical_embeddings, find_homomorphism
 from finstruct.rng import SplitMix64
-from oracles import inside, mixed_structures, reference_build_JC, standalone_copy
+from oracles import mixed_structures, reference_build_JC, standalone_copy
 from finstruct.verifier import (
     ClassOracle,
     ExpansionSpec,
@@ -401,7 +401,7 @@ def test_forbh_on_views_matches_standalone_copies(host, members, data):
     oracle = forbh_oracle(FixedMembers(members))
     for _ in range(3):
         alive = data.draw(st.integers(0, (1 << len(host.domain)) - 1))
-        view = core.induced_on_mask(host, alive, inside(host, alive))
+        view = core.induced_on_mask(host, alive)
         copy = standalone_copy(host, alive)
         assert view.host is host and copy.host is copy
         assert oracle.member(view) == oracle.member(copy)
@@ -510,6 +510,48 @@ def test_check_confusion_parallel_matches_sequential():
     seq = check_confusion(d, 2, oracle, jobs=1)
     par = check_confusion(d, 2, oracle, jobs=2)
     assert seq.to_dict() == par.to_dict()
+
+
+def test_fanout_cuts_at_most_one_contiguous_share_per_worker(monkeypatch):
+    # each share unpickles J_all and searches its images once, so a sweep
+    # over jobs workers cuts at most jobs shares, in order, covering every
+    # encoding once; exhaustive shares stay ranges, which pickle as 3 ints
+    seen = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            seen.append((self.max_workers, [encodings for *_, encodings in chunks]))
+            return map(fn, chunks)
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", InProcessPool)
+    oracle = forbh_oracle(FnFamily())
+    f3, f4 = diagram_Fn(3), diagram_Fn(4)
+    rng = SplitMix64(3)
+    drawn = [rng.next_bits(len(f4.skeleton(2).spots)) for _ in range(300)]
+    cases = [
+        (f3, {"mode": "exhaustive"}, list(range(1 << len(f3.skeleton(2).spots)))),
+        (f4, {"mode": "sample", "samples": 300, "seed": 3}, drawn),
+    ]
+    for d, mode, encodings in cases:
+        one = check_confusion(d, 2, oracle, jobs=1, **mode).to_dict()
+        for jobs in (2, 3):
+            seen.clear()
+            assert check_confusion(d, 2, oracle, jobs=jobs, **mode).to_dict() == one
+            [(workers, shares)] = seen
+            assert workers == jobs and 1 < len(shares) <= jobs
+            assert [enc for share in shares for enc in share] == encodings
+            if mode["mode"] == "exhaustive":
+                assert all(type(share) is range for share in shares)
 
 
 def test_check_confusion_exhaustive_small_spot_counts():
