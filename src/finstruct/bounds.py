@@ -125,9 +125,14 @@ def condition_holds(params: BoundsParams) -> BoundsReport:
 def minimal_m(n: int, r: int, t: int, cap: int) -> Optional[int]:
     """Least multiplicity m <= cap satisfying the condition, or None.
 
-    A true verdict is upward closed in m (the spot count scales by a higher
-    power than the threshold terms), so doubling followed by bisection is
-    exact.
+    The verdict switches once in m, from false to true, so one bisection
+    over [1, cap] is exact.  Write C = C(n,r) and g(m) = m^n - p*C*m^r, so
+    the verdict is g(m) > q^C.  At m = 1 it is false: g(1) <= 1 < 2 <= q^C,
+    as q >= Bell(2) = 2.  Since r < n, g(m) = m^r * (m^(n-r) - p*C): while
+    m^(n-r) <= p*C the gap is at most 0 and the verdict false, and from
+    there on both factors are positive and increase with m.  So the gap
+    is at most 0 until it rises for good, and a true verdict at m stays
+    true above m.
     """
     if r >= n:
         raise StructureError("needs r < n")
@@ -137,20 +142,9 @@ def minimal_m(n: int, r: int, t: int, cap: int) -> Optional[int]:
     def holds(m: int) -> bool:
         return condition_holds(BoundsParams(r, t, n, m)).verdict
 
-    lo = 1
-    hi: Optional[int] = None
-    probe = 1
-    while probe <= cap:
-        if holds(probe):
-            hi = probe
-            break
-        lo = probe + 1
-        probe *= 2
-    if hi is None:
-        if lo <= cap and holds(cap):
-            hi = cap
-        else:
-            return None
+    if not holds(cap):
+        return None
+    lo, hi = 1, cap
     while lo < hi:
         mid = (lo + hi) // 2
         if holds(mid):

@@ -3,7 +3,8 @@
 Structures are immutable values: a signature, an ordered domain of opaque
 string identifiers, and one tuple set per relation symbol.  Every operation
 in this module is a pure function returning fresh values, so structures can
-be shared freely between threads or processes.
+be shared freely between threads or processes.  A view (``induced_on_mask``)
+is a host and a mask; everything else about it is derived when first read.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ class Signature:
         return f"Signature({inner})"
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class Structure:
     """A finite relational structure.
 
@@ -85,12 +89,14 @@ class Structure:
     every symbol of the signature is keyed, possibly by the empty set.  Two
     structures are equal iff signature, domain and all relations coincide.
 
-    A structure built by ``induced_on_mask`` is a view: it keeps the host it
-    was cut from and the mask of its elements over the host's sorted domain,
-    and its relations are the host's tuples inside its domain, derived on
-    first read.  Any other structure is its own host with the full mask.
-    The host, the mask and the lazily built indexes stay out of equality
-    and hashing, and the indexes out of pickles; a view pickles its host.
+    A structure built by ``induced_on_mask`` is a view: it is the host it
+    was cut from and the mask of its elements over the host's sorted
+    domain.  Its domain, domain set and relations are derived from the host
+    and the mask on first read, and every read inside this class goes
+    through ``domain``, ``domain_set`` and ``_rels``.  Any other structure
+    is its own host with the full mask.  The host, the mask and the lazily
+    built indexes stay out of equality and hashing, and the indexes out of
+    pickles; a view pickles its host.
     """
 
     __slots__ = (
@@ -137,9 +143,9 @@ class Structure:
 
     def _set(self, signature, domain, domain_set, relations, host, alive) -> None:
         self._signature = signature
-        self._domain = domain
-        self._domain_set = domain_set
-        self._relations = relations  # None: a view's, derived on first read
+        self._domain = domain  # None: a view's, derived on first read
+        self._domain_set = domain_set  # likewise
+        self._relations = relations  # likewise
         self._host: Optional[Structure] = host  # None: its own host
         self._alive: Optional[int] = alive  # None: the full mask
         self._hash: Optional[int] = None  # computed on first use; sweeps never hash
@@ -147,11 +153,11 @@ class Structure:
         self._index: Optional[MaskIndex] = None  # built on first use, hosts only
 
     def __getstate__(self):
-        return self._signature, self._domain, self._rels(), self._host, self._alive
+        return self._signature, self.domain, self._rels(), self._host, self._alive
 
     def __setstate__(self, state) -> None:
         signature, domain, relations, host, alive = state
-        self._set(signature, domain, frozenset(domain), relations, host, alive)
+        self._set(signature, domain, None, relations, host, alive)
 
     @property
     def signature(self) -> Signature:
@@ -159,16 +165,24 @@ class Structure:
 
     @property
     def domain(self) -> tuple[str, ...]:
+        """The sorted domain; a view reads it off its host's on the first call."""
+        if self._domain is None:
+            root = self._host.domain
+            # one 0/1 byte per host element, lowest bit first, for compress to read
+            flags = format(self._alive, f"0{len(root)}b").encode()[::-1].translate(_BIT_FLAGS)
+            self._domain = tuple(compress(root, flags))
         return self._domain
 
     @property
     def domain_set(self) -> frozenset[str]:
+        if self._domain_set is None:
+            self._domain_set = frozenset(self.domain)
         return self._domain_set
 
     def _rels(self) -> dict[str, frozenset[tuple[str, ...]]]:
         """The relations; a view derives them from its host on the first call."""
         if self._relations is None:
-            keep = self._domain_set
+            keep = self.domain_set
             self._relations = {
                 name: frozenset(t for t in ts if keep.issuperset(t))
                 for name, ts in self._host.relations_items()
@@ -192,7 +206,7 @@ class Structure:
         forward-checking narrowing.
         """
         if self._positions is None:
-            index = {x: i for i, x in enumerate(self._domain)}
+            index = {x: i for i, x in enumerate(self.domain)}
             self._positions = {
                 n: tuple(tuple(map(index.__getitem__, t)) for t in ts)
                 for n, ts in self._rels().items()
@@ -215,7 +229,7 @@ class Structure:
     def alive(self) -> int:
         """The mask of this structure's elements over the host's sorted domain."""
         if self._alive is None:
-            return (1 << len(self._domain)) - 1
+            return (1 << len(self.domain)) - 1
         return self._alive
 
     def mask_index(self) -> "MaskIndex":
@@ -231,13 +245,13 @@ class Structure:
         return self._index
 
     def __len__(self) -> int:
-        return len(self._domain)
+        return len(self.domain)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Structure)
             and self._signature == other._signature
-            and self._domain == other._domain
+            and self.domain == other.domain
             and self._rels() == other._rels()
         )
 
@@ -246,14 +260,14 @@ class Structure:
             self._hash = hash(
                 (
                     self._signature,
-                    self._domain,
+                    self.domain,
                     tuple(sorted((n, tuple(sorted(ts))) for n, ts in self._rels().items())),
                 )
             )
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Structure(|dom|={len(self._domain)}, sig={self._signature!r})"
+        return f"Structure(|dom|={len(self)}, sig={self._signature!r})"
 
 
 class MaskIndex:
@@ -452,28 +466,20 @@ def induced_substructure(s: Structure, subset: Iterable[str]) -> Structure:
     return Structure(s.signature, keep, rels)
 
 
-_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def induced_on_mask(host: Structure, alive: int) -> Structure:
     """Substructure of ``host`` induced on the elements whose bits are set in ``alive``.
 
     Bit i stands for ``host.host.domain[i]``, and ``alive`` must lie inside
-    ``host.alive``.  The result is a view that keeps the root host and the
-    mask, so its searchers and heights read the host's ``mask_index``, and
-    its relations are derived from the host's tuples when first read.  Its
-    domain is read off the sorted host domain, so it is sorted already and
-    its identifiers are valid; nothing is sorted or checked again.
+    ``host.alive``.  The result is a view: the root host and the mask, and
+    nothing else until read.  Its searchers and heights read the host's
+    ``mask_index``; its domain is read off the sorted host domain, so it is
+    sorted already and its identifiers are valid, and its relations are the
+    host's tuples inside it.  Nothing is sorted or checked again.
     """
-    root = host.host
     if alive < 0 or alive & ~host.alive:
         raise DomainError("mask selects elements outside the host")
-    n = len(root.domain)
-    # one 0/1 byte per host element, lowest bit first, for compress to read
-    flags = format(alive, f"0{n}b").encode()[::-1].translate(_BIT_FLAGS)
-    domain = tuple(compress(root.domain, flags))
     view = Structure.__new__(Structure)
-    view._set(host.signature, domain, frozenset(domain), None, root, alive)
+    view._set(host.signature, None, None, None, host.host, alive)
     return view
 
 

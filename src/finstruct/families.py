@@ -3,7 +3,8 @@
 Covers the linear-equation templates over finite Abelian groups and their
 binary-tree instances, the colored-path family with its source/target path
 class, the binary-tree family with leaf gluing, spans of embeddings
-(diagrams), and the glued blow-up construction.
+(diagrams), and the glued blow-up construction, a mask over the union of
+all side copies whenever that union exists.
 """
 
 from __future__ import annotations
@@ -404,6 +405,19 @@ def marking(instance: Structure, a: Sequence[int], group: AbelianGroup) -> Struc
     return Structure(expanded.signature, expanded.domain, rels)
 
 
+def _span(left: Structure, right: Structure, shared: Iterable[str]) -> Diagram:
+    """The span over ``left`` induced on ``shared``, both maps inclusions."""
+    base = core.induced_substructure(left, shared)
+    inclusion = {x: x for x in base.domain}
+    return Diagram(
+        base,
+        left,
+        right,
+        ElementMap(base.domain, left.domain, inclusion),
+        ElementMap(base.domain, right.domain, inclusion),
+    )
+
+
 def diagram_lineq(
     n: int,
     group: AbelianGroup,
@@ -421,11 +435,7 @@ def diagram_lineq(
     instance = tree_instance(n, shape)
     left = marking(instance, group.zero, group)
     right = marking(instance, mark, group)
-    leaves = tree_leaves(instance)
-    base = core.induced_substructure(left, leaves)
-    inclusion_l = ElementMap(base.domain, left.domain, {x: x for x in leaves})
-    inclusion_r = ElementMap(base.domain, right.domain, {x: x for x in leaves})
-    return Diagram(base, left, right, inclusion_l, inclusion_r)
+    return _span(left, right, tree_leaves(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +477,9 @@ def diagram_Fn(n: int) -> Diagram:
     """Span of the red-only and blue-only halves glued along the path."""
     full = gen_Fn(n)
     path = [x for x in full.domain if x not in ("red", "blue")]
-    left = core.induced_substructure(full, set(full.domain) - {"blue"})
-    right = core.induced_substructure(full, set(full.domain) - {"red"})
-    base = core.induced_substructure(full, path)
-    inc_l = ElementMap(base.domain, left.domain, {x: x for x in path})
-    inc_r = ElementMap(base.domain, right.domain, {x: x for x in path})
-    return Diagram(base, left, right, inc_l, inc_r)
+    left = core.induced_substructure(full, path + ["red"])
+    right = core.induced_substructure(full, path + ["blue"])
+    return _span(left, right, path)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +518,7 @@ def diagram_G(shape: TreeShape) -> Diagram:
     leaves = sorted(t[1] for t in full.relation("E") if t[0] == "blue")
     left = core.induced_substructure(full, tree_nodes)
     right = core.induced_substructure(full, leaves + ["blue"])
-    base = core.induced_substructure(full, leaves)
-    inc_l = ElementMap(base.domain, left.domain, {x: x for x in leaves})
-    inc_r = ElementMap(base.domain, right.domain, {x: x for x in leaves})
-    return Diagram(base, left, right, inc_l, inc_r)
+    return _span(left, right, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +597,17 @@ class _JCSkeleton:
     copies at a spot into elements carrying both copies' tuples, and
     ``all`` is None.
 
-    ``blowup`` is the mask of the blow-up's elements over J_all's sorted
-    domain, and ``parts[side][k]`` is ``(mask, (fresh, tuples))`` for the
-    copy of that side at spot k: the mask of its fresh elements, and its
-    fresh names and per-symbol tuples as ``_spot_parts`` renders them.
-    Masks are 0 when there is no J_all, and only then are the rendered
-    names and tuples read.  Nothing here depends on a coloring.
-    ``_skeleton_size`` is checked against ``SKELETON_LIMIT`` before any
-    spot is built, and a larger skeleton raises ``BudgetExceeded``.
+    ``copies`` maps each spot to the ``(L, R)`` pair of its two side
+    copies, each in one form.  With J_all a copy is the mask of its fresh
+    elements over J_all's sorted domain, and ``blowup`` the mask of the
+    blow-up's elements.  Without J_all a copy is its fresh names and
+    per-symbol tuples as ``_spot_parts`` renders them, and ``blowup`` is 0.
+    Nothing here depends on a coloring.  ``_skeleton_size`` is checked
+    against ``SKELETON_LIMIT`` before any spot is built, and a larger
+    skeleton raises ``BudgetExceeded``.
     """
 
-    __slots__ = ("j", "spots", "spot_index", "all", "blowup", "parts")
+    __slots__ = ("j", "spots", "all", "blowup", "copies")
 
     def __init__(self, diagram: Diagram, m: int):
         size = _skeleton_size(diagram, m)
@@ -615,27 +619,23 @@ class _JCSkeleton:
         emb = morphisms.canonical_embeddings(diagram.base, m)
         self.j = emb.target
         self.spots = emb.members
-        self.spot_index = {spot: k for k, spot in enumerate(self.spots)}
         prefix = _fresh_prefix(self.j.domain, "g")
-        rendered = {
-            side: [
-                _spot_parts(diagram, spot, side, f"{prefix}{k}.")
-                for k, spot in enumerate(self.spots)
-            ]
-            for side in ("L", "R")
+        self.copies = {
+            spot: tuple(_spot_parts(diagram, spot, side, f"{prefix}{k}.") for side in "LR")
+            for k, spot in enumerate(self.spots)
         }
-        both = rendered["L"] + rendered["R"]
-        fresh = [x for names, _ in both for x in names]
+        rendered = [copy for pair in self.copies.values() for copy in pair]
+        fresh = [x for names, _ in rendered for x in names]
         self.all: Optional[Structure] = None
-        bit: dict[str, int] = {}
+        self.blowup = 0
         if len(set(fresh)) == len(fresh):
-            self.all = _glue(diagram.base.signature, self.j, both)
+            self.all = _glue(diagram.base.signature, self.j, rendered)
             bit = {x: 1 << i for i, x in enumerate(self.all.domain)}
-        self.blowup = sum(bit.get(x, 0) for x in self.j.domain)
-        self.parts = {
-            side: [(sum(bit.get(x, 0) for x in names), (names, tuples)) for names, tuples in copies]
-            for side, copies in rendered.items()
-        }
+            self.blowup = sum(bit[x] for x in self.j.domain)
+            self.copies = {
+                spot: tuple(sum(bit[x] for x in names) for names, _ in pair)
+                for spot, pair in self.copies.items()
+            }
 
 
 def _glue(signature: Signature, j: Structure, copies: Iterable[tuple[list, dict]]) -> Structure:
@@ -674,15 +674,14 @@ def build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
     skeleton = diagram.skeleton(m)
     try:
         pieces = [
-            skeleton.parts[side][skeleton.spot_index[spot]]
-            for spot, side in zip(coloring.spots, coloring.sides)
+            skeleton.copies[spot][side == "R"] for spot, side in zip(coloring.spots, coloring.sides)
         ]
     except KeyError:
         raise StructureError("coloring mentions a spot outside the canonical embeddings") from None
     if skeleton.all is None:
-        return _glue(diagram.base.signature, skeleton.j, [part for _, part in pieces])
+        return _glue(diagram.base.signature, skeleton.j, pieces)
     alive = skeleton.blowup
-    for mask, _ in pieces:
+    for mask in pieces:
         alive |= mask
     return core.induced_on_mask(skeleton.all, alive)
 

@@ -25,6 +25,10 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
 
+    def skip(self, words: int) -> None:
+        """Advance as if ``words`` words were drawn (the state moves by a constant per word)."""
+        self._state = (self._state + words * 0x9E3779B97F4A7C15) & _MASK
+
     def next_bit(self) -> int:
         return self.next_word() & 1
 

@@ -6,9 +6,9 @@ homomorphisms, which is what lets the free amalgam decide amalgamation
 failure for every amalgam at once.  Confusion sweeps iterate colorings of
 the canonical blow-up embeddings, glue, and test membership, optionally
 across worker processes in one contiguous share of colorings per worker.
-A glued J_C is a mask over the skeleton's J_all, its tuples derived only
-when read.  It is tested against the images of the family members in
-J_all, found by one search per member and kept for that J_all alone.
+A glued J_C is a mask over the skeleton's J_all.  Any structure is tested
+against the images of the family members in its host, found by one search
+per member and kept for that host alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import core, families, morphisms
-from .consistency import BudgetExceeded, DEFAULT_TABLE_CAP, is_consistent
+from .consistency import BudgetExceeded, is_consistent
 from .core import ElementMap, Structure, StructureError, pullback
 from .families import Coloring, Diagram, build_JC
 from .morphisms import HomomorphismSearcher
@@ -34,18 +34,16 @@ class ClassOracle:
     makes A' a member.  ``witness`` optionally explains non-membership.
     """
 
-    __slots__ = ("membership", "inverse_hom_closed", "description", "witness")
+    __slots__ = ("membership", "inverse_hom_closed", "witness")
 
     def __init__(
         self,
         membership: Callable[[Structure], bool],
         inverse_hom_closed: bool,
-        description: str,
         witness: Optional[Callable[[Structure], Optional[str]]] = None,
     ):
         self.membership = membership
         self.inverse_hom_closed = inverse_hom_closed
-        self.description = description
         self.witness = witness
 
     def member(self, s: Structure) -> bool:
@@ -55,23 +53,23 @@ class ClassOracle:
 class _ForbhMembership:
     """No family member maps homomorphically into the input.
 
-    A view (``s.host is not s``, as ``build_JC`` returns when the glue
-    skeleton has J_all) is answered from its host's images.  A homomorphism
+    Every input is answered from its host's images: a view (as ``build_JC``
+    returns when the glue skeleton has J_all) is its host and its mask, and
+    any other structure is its own host with the full mask.  A homomorphism
     into an induced substructure is exactly a homomorphism into the whole
     structure whose image lies inside it (Hell & Nešetřil, *Graphs and
-    Homomorphisms*, 2004).  So a member maps into the view iff one of its
+    Homomorphisms*, 2004).  So a member maps into the input iff one of its
     image masks on the host (``HomomorphismSearcher.image_masks``) lies
     inside ``s.alive``.  The members tested are those ``family(s)`` yields,
-    as for a plain structure, so each view's verdict is unchanged; for a
+    so the verdict is the one a search of ``s`` itself would give; for a
     glued J_C, ``build_JC`` proves that J_C is J_all induced on ``alive``.
 
     The images of each member are found by one search of the host, which
-    visits every homomorphism where a per-view ``exists`` stops at the
-    first: a sweep gains once a few colorings share the host, while a
-    single coloring pays more.  The memo holds one host at a time, the one
-    most recently asked about, and is left out of pickles, so each worker
-    rebuilds it from its own copy of the host.  A plain structure is
-    searched directly, and ``explain`` searches the view itself.
+    visits every homomorphism where ``exists`` stops at the first: a sweep
+    gains once a few colorings share the host, while a single structure
+    pays more.  The memo holds one host at a time, the one most recently
+    asked about, and is left out of pickles, so each worker rebuilds it
+    from its own copy of the host.  ``explain`` searches the input itself.
     """
 
     def __init__(self, family):
@@ -95,15 +93,11 @@ class _ForbhMembership:
         return images
 
     def __call__(self, s: Structure) -> bool:
-        host = s.host
-        if host is s:
-            searcher = HomomorphismSearcher(s)
-            return not any(searcher.exists(member) for member in self.family(s))
         dead = ~s.alive
         return not any(
             not image & dead
             for member in self.family(s)
-            for image in self._host_images(host, member)
+            for image in self._host_images(s.host, member)
         )
 
     def explain(self, s: Structure) -> Optional[str]:
@@ -116,14 +110,13 @@ class _ForbhMembership:
 
 
 class _ConsistencyMembership:
-    def __init__(self, template: Structure, k: int, l: int, max_entries: int):
+    def __init__(self, template: Structure, k: int, l: int):
         self.template = template
         self.k = k
         self.l = l
-        self.max_entries = max_entries
 
     def __call__(self, s: Structure) -> bool:
-        return is_consistent(s, self.template, self.k, self.l, self.max_entries)
+        return is_consistent(s, self.template, self.k, self.l)
 
     def explain(self, s: Structure) -> Optional[str]:
         if self(s):
@@ -142,25 +135,13 @@ def forbh_oracle(family) -> ClassOracle:
     that does.
     """
     impl = _ForbhMembership(family)
-    return ClassOracle(
-        membership=impl,
-        inverse_hom_closed=True,
-        description=f"Forb_h({type(family).__name__})",
-        witness=impl.explain,
-    )
+    return ClassOracle(membership=impl, inverse_hom_closed=True, witness=impl.explain)
 
 
-def consistency_oracle(
-    template: Structure, k: int, l: int, max_entries: int = DEFAULT_TABLE_CAP
-) -> ClassOracle:
+def consistency_oracle(template: Structure, k: int, l: int) -> ClassOracle:
     """Membership oracle for the (k,l)-consistent instances of a template."""
-    impl = _ConsistencyMembership(template, k, l, max_entries)
-    return ClassOracle(
-        membership=impl,
-        inverse_hom_closed=True,
-        description=f"({k},{l})-consistent wrt template of size {len(template.domain)}",
-        witness=impl.explain,
-    )
+    impl = _ConsistencyMembership(template, k, l)
+    return ClassOracle(membership=impl, inverse_hom_closed=True, witness=impl.explain)
 
 
 def witnesses_failure(diagram: Diagram, oracle: ClassOracle) -> bool:
@@ -233,9 +214,24 @@ def _test_colorings(
     return failures
 
 
+def _encodings(draws: range, seed: Optional[int], n_spots: int) -> Iterable[int]:
+    """The encodings of one share of draw indices, drawn as they are read.
+
+    An exhaustive share (``seed`` None) is its own encodings.  A sample share
+    seeks to its first draw: ``next_bits`` reads one word per bit, so draw j
+    starts j * n_spots words into the seeded stream.
+    """
+    if seed is None:
+        return draws
+    rng = SplitMix64(seed)
+    rng.skip(draws.start * n_spots)
+    return (rng.next_bits(n_spots) for _ in draws)
+
+
 def _confusion_chunk(args) -> list[tuple[int, Optional[str]]]:
-    diagram, m, oracle, encodings = args
-    return _test_colorings(diagram, m, oracle, diagram.skeleton(m).spots, encodings)
+    diagram, m, oracle, seed, draws = args
+    spots = diagram.skeleton(m).spots
+    return _test_colorings(diagram, m, oracle, spots, _encodings(draws, seed, len(spots)))
 
 
 def check_confusion(
@@ -250,16 +246,17 @@ def check_confusion(
     """Sweep colorings of the canonical embeddings and test glued membership.
 
     Exhaustive mode iterates all 2^(m^|A|) colorings and is refused beyond
-    2^20 of them; sample mode draws ``samples`` seeded colorings and is
-    refused beyond 2^20 samples.  Both refusals, and the glue skeleton's
-    own budget (``families.SKELETON_LIMIT``), come before any spot is built
-    or any encoding drawn.  The diagram must already witness failure of
-    amalgamation for the oracle.  The spots and the glue skeleton are the
-    diagram's own (``Diagram.skeleton``), so worker processes receive them
-    with the pickled diagram.  With ``jobs`` above 1 the encodings are cut
-    into at most ``jobs`` contiguous shares, in order, and each share
-    unpickles and searches J_all once.  Failures are reported sorted by
-    coloring encoding; the verdict is true when no coloring left the class.
+    2^20 of them; sample mode draws ``samples`` seeded colorings, each as it
+    is tested, and is refused beyond 2^20 samples.  Both refusals, and the
+    glue skeleton's own budget (``families.SKELETON_LIMIT``), come before
+    any spot is built or any encoding drawn.  The diagram must already
+    witness failure of amalgamation for the oracle.  The spots and the glue
+    skeleton are the diagram's own (``Diagram.skeleton``), so worker
+    processes receive them with the pickled diagram.  With ``jobs`` above 1
+    the draw indices are cut into at most ``jobs`` contiguous ranges, in
+    order, and each share unpickles and searches J_all once.  Failures are
+    reported sorted by coloring encoding; the verdict is true when no
+    coloring left the class.
     """
     if not witnesses_failure(diagram, oracle):
         raise StructureError("diagram does not witness failure of amalgamation")
@@ -272,6 +269,7 @@ def check_confusion(
                 f"exhaustive sweep over {n_spots} spots exceeds 2^{EXHAUSTIVE_SPOT_LIMIT} colorings"
             )
         mode_doc = {"kind": "exhaustive"}
+        draws, sample_seed = range(1 << n_spots), None
     elif mode == "sample":
         if samples < 1:
             raise StructureError("sample mode needs a positive sample count")
@@ -280,29 +278,26 @@ def check_confusion(
                 f"{samples} samples exceed the limit of 2^{EXHAUSTIVE_SPOT_LIMIT} colorings"
             )
         mode_doc = {"kind": "sample", "count": samples, "seed": seed}
+        draws, sample_seed = range(samples), seed
     else:
         raise StructureError(f"unknown mode {mode!r}")
     spots = diagram.skeleton(m).spots
-    if mode == "exhaustive":
-        encodings: Sequence[int] = range(1 << n_spots)
-    else:
-        rng = SplitMix64(seed)
-        encodings = [rng.next_bits(n_spots) for _ in range(samples)]
 
-    if jobs > 1 and len(encodings) >= 4 * jobs:
-        chunk_size = -(-len(encodings) // jobs)  # one share per worker
+    if jobs > 1 and len(draws) >= 4 * jobs:
+        chunk_size = -(-len(draws) // jobs)  # one share per worker
         chunks = [
-            (diagram, m, oracle, encodings[i : i + chunk_size])
-            for i in range(0, len(encodings), chunk_size)
+            (diagram, m, oracle, sample_seed, draws[i : i + chunk_size])
+            for i in range(0, len(draws), chunk_size)
         ]
         failures: list[tuple[int, Optional[str]]] = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for result in pool.map(_confusion_chunk, chunks):
                 failures.extend(result)
     else:
+        encodings = _encodings(draws, sample_seed, n_spots)
         failures = _test_colorings(diagram, m, oracle, spots, encodings)
     failures.sort(key=lambda fail: fail[0])
-    return ConfusionReport(diagram, m, mode_doc, len(encodings), tuple(failures))
+    return ConfusionReport(diagram, m, mode_doc, len(draws), tuple(failures))
 
 
 def antichain(structures: Sequence[Structure]) -> bool:

@@ -83,8 +83,10 @@ def test_induced_view_matches_standalone_copy(host, data):
     full = (1 << len(host.domain)) - 1
     alive = data.draw(st.integers(0, full))
     view = induced_on_mask(host, alive)
-    assert view._relations is None  # derived from the host on first read
+    # a view is its host and its mask: the rest is derived on first read
+    assert view._domain is None and view._domain_set is None and view._relations is None
     copy = standalone_copy(host, alive)
+    assert view.domain == copy.domain and view.domain_set == copy.domain_set
     assert dict(view.relations_items()) == dict(copy.relations_items())
     assert view == copy and view.domain == copy.domain and hash(view) == hash(copy)
     assert view.domain_set == copy.domain_set

@@ -330,9 +330,10 @@ def test_j_all_is_the_blowup_and_two_disjoint_copies_per_spot(diagram):
     skeleton = diagram.skeleton(2)
     fresh = len(diagram.left.domain) + len(diagram.right.domain) - 2 * len(diagram.base.domain)
     assert len(skeleton.all.domain) == len(skeleton.j.domain) + len(skeleton.spots) * fresh
+    assert list(skeleton.copies) == list(skeleton.spots)
     seen = skeleton.blowup
-    for copies in skeleton.parts.values():
-        for mask, _ in copies:
+    for pair in skeleton.copies.values():
+        for mask in pair:
             assert not seen & mask
             seen |= mask
     assert seen == skeleton.all.alive

@@ -230,9 +230,7 @@ def test_witnesses_failure():
 
 
 def test_witnesses_failure_requires_closure_and_membership():
-    closed_less = ClassOracle(
-        membership=lambda s: True, inverse_hom_closed=False, description="open"
-    )
+    closed_less = ClassOracle(membership=lambda s: True, inverse_hom_closed=False)
     with pytest.raises(StructureError):
         witnesses_failure(diagram_Fn(3), closed_less)
     from finstruct.families import Diagram
@@ -536,11 +534,22 @@ def test_fanout_cuts_at_most_one_contiguous_share_per_worker(monkeypatch):
     monkeypatch.setattr(verifier, "ProcessPoolExecutor", InProcessPool)
     oracle = forbh_oracle(FnFamily())
     f3, f4 = diagram_Fn(3), diagram_Fn(4)
+    n_spots = len(f4.skeleton(2).spots)
     rng = SplitMix64(3)
-    drawn = [rng.next_bits(len(f4.skeleton(2).spots)) for _ in range(300)]
+    drawn = [rng.next_bits(n_spots) for _ in range(301)]
+
+    def decoded(share, mode):
+        # a sample share is a range of draw indices: seek to its first draw
+        if mode["mode"] == "exhaustive":
+            return list(share)
+        rng = SplitMix64(mode["seed"])
+        rng.skip(share.start * n_spots)
+        return [rng.next_bits(n_spots) for _ in share]
+
     cases = [
         (f3, {"mode": "exhaustive"}, list(range(1 << len(f3.skeleton(2).spots)))),
-        (f4, {"mode": "sample", "samples": 300, "seed": 3}, drawn),
+        # 301 draws cut unevenly, so the later shares start mid-stream
+        (f4, {"mode": "sample", "samples": 301, "seed": 3}, drawn),
     ]
     for d, mode, encodings in cases:
         one = check_confusion(d, 2, oracle, jobs=1, **mode).to_dict()
@@ -549,9 +558,33 @@ def test_fanout_cuts_at_most_one_contiguous_share_per_worker(monkeypatch):
             assert check_confusion(d, 2, oracle, jobs=jobs, **mode).to_dict() == one
             [(workers, shares)] = seen
             assert workers == jobs and 1 < len(shares) <= jobs
-            assert [enc for share in shares for enc in share] == encodings
-            if mode["mode"] == "exhaustive":
-                assert all(type(share) is range for share in shares)
+            assert all(type(share) is range for share in shares)
+            assert [enc for share in shares for enc in decoded(share, mode)] == encodings
+
+
+def test_sample_sweep_draws_each_encoding_as_it_tests_it(monkeypatch):
+    # an oracle that raises on the third coloring stops the sweep there, so
+    # no more than three encodings were drawn
+    drawn = []
+    next_bits = SplitMix64.next_bits
+
+    def counting(self, count):
+        drawn.append(count)
+        return next_bits(self, count)
+
+    monkeypatch.setattr(SplitMix64, "next_bits", counting)
+    calls = []
+
+    def membership(s):
+        calls.append(s)
+        if len(calls) == 4 + 3:  # base, left, right and free amalgam come first
+            raise RuntimeError("third coloring")
+        return len(calls) != 4  # the free amalgam is no member
+
+    oracle = ClassOracle(membership=membership, inverse_hom_closed=True)
+    with pytest.raises(RuntimeError, match="third coloring"):
+        check_confusion(diagram_Fn(3), 2, oracle, mode="sample", samples=10, seed=1)
+    assert 1 <= len(drawn) <= 3
 
 
 def test_check_confusion_exhaustive_small_spot_counts():
