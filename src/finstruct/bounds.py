@@ -9,9 +9,11 @@ expanded signature.
 
 from __future__ import annotations
 
+import sys
 from math import comb
 from typing import Optional
 
+from .consistency import BudgetExceeded
 from .core import StructureError
 
 
@@ -101,20 +103,24 @@ class BoundsReport:
         self.verdict = self.spot_count > self.threshold
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "r": self.params.r,
             "t": self.params.t,
             "n": self.params.n,
             "m": self.params.m,
             "include_equalities": True,
-            "q": str(self.q),
             "p": self.p,
-            "spot_count": str(self.spot_count),
-            "partial_spot_count": str(self.partial_spot_count),
-            "proof_partial_spot_count": str(self.proof_partial_spot_count),
-            "threshold": str(self.threshold),
             "verdict": self.verdict,
         }
+        # refuse what ``str`` may not print (0: no limit); 2^(3 x limit) is
+        # below 10^limit, so a value of at most 3 x limit bits prints
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        for name in "q spot_count partial_spot_count proof_partial_spot_count threshold".split():
+            value = getattr(self, name)
+            if limit and value.bit_length() > 3 * limit and value >= 10**limit:
+                raise BudgetExceeded(f"{name} has over {limit} digits, too many to print")
+            doc[name] = str(value)
+        return doc
 
 
 def condition_holds(params: BoundsParams) -> BoundsReport:

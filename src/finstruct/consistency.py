@@ -21,7 +21,8 @@ precomputed extension masks.
 from __future__ import annotations
 
 from array import array
-from itertools import combinations, product
+from bisect import bisect
+from itertools import combinations, product, repeat
 from math import comb
 from typing import Optional
 
@@ -156,6 +157,11 @@ class _Fixpoint:
     positions, and its mask holds every assignment of the other digits.  So
     the AND of the masks, started from all |B|**|Y| assignments, is the set
     of partial homomorphisms on Y, unary tuples included.
+
+    Y's immediate supersets, built by insertion (``_supersets``), and its
+    down-subsets depend on Y's elements alone: ``run`` lists them on Y's
+    first pop, never up front, in the order the plain loop lists them on
+    every pop, and marks each deletion with the support checks it needs.
     """
 
     def __init__(
@@ -289,19 +295,29 @@ class _Fixpoint:
         return found
 
     def _supersets(self, x: tuple[int, ...], top: int):
-        """``(id, free, stems)`` of every superset of x with at most top
-        elements, with the masks of x's positions in it.
+        """``(id, free, stems, i)`` of every superset of x with at most top
+        elements, with the masks of x's positions in it.  An immediate
+        superset is built by inserting an element at position i, so x's
+        positions in it are all but i; a larger one has i = -1.
 
         Supersets come in id order: by size, and within a size x joined with
         lexicographically ordered extras is lexicographically ordered, since
         two such sets first differ where their extras do.
         """
+        size, subset_id = len(x), self.subset_id
         rest = [e for e in range(len(self.a_ids)) if e not in x]
-        for extra_size in range(1, top - len(x) + 1):
+        if top > size:
+            grown = size + 1
+            up = [self._masks(grown, (*range(i), *range(i + 1, grown))) for i in range(grown)]
+            for e in rest:
+                i = bisect(x, e)
+                free, stems, _ = up[i]
+                yield subset_id[x[:i] + (e,) + x[i:]], free, stems, i
+        for extra_size in range(2, top - size + 1):
             for extra in combinations(rest, extra_size):
                 y = tuple(sorted(x + extra))
                 free, stems, _ = self._masks(len(y), tuple(map(y.index, x)))
-                yield self.subset_id[y], free, stems
+                yield subset_id[y], free, stems, -1
 
     # -- the fixpoint ---------------------------------------------------
 
@@ -318,25 +334,29 @@ class _Fixpoint:
         left in Y.  Only the unsupported deaths' Y is recorded, and only on
         the trace path; ``reasons`` derives the rest.  The deletions and
         their order are those of the plain loop that lists Y's neighbours on
-        every pop and deletes one entry at a time (``tests/oracles.py``,
-        ``reference_run``):
+        every pop, checks every projection and deletes one entry at a time
+        (``tests/oracles.py``, ``reference_run``):
 
         - Alive before unsupported.  Both tests only read tables, so their
           conjunction does not depend on which is read first.  The down step
           deletes only from proper subsets of Y and the restriction step
           only from proper supersets, so ``table[Y]`` is the same for every
           X of one pop and is read once.
-        - Neighbours once per run.  Y's immediate supersets with their
-          masks, and its down-subsets, depend on Y's elements alone, never
-          on a table.  They are listed on Y's first pop, by the same
-          ``_supersets`` and ``downs`` in the same order, and reused.  Each
-          down position's support masks ``free << stems[h]`` likewise depend
-          on the subset size alone and are shifted once per run.
         - One XOR per superset.  Every bit of ``table[Z] & free << stems[g]``
           is set in ``table[Z]``, so XORing the whole mask clears the same
           bits as one XOR per bit, and nothing reads ``table[Z]`` in between.
           The keys still follow in ascending bit order, and an empty mask
           adds none.
+        - One check per batch for the shared projections.  The keys one
+          restriction step kills in Z are a batch, popped one after another,
+          and a pop of Z writes only to proper subsets and supersets of Z,
+          so ``table[Z]`` stays the same through the batch.  Every key in it
+          agrees with g off the position i that Z adds to Y, so a down
+          pattern avoiding i projects them all to the same h.  Once the
+          first key has checked h, h is dead or supported in the unchanged
+          ``table[Z]`` for the rest of the batch.  So a key's mark is i, to
+          check only the patterns that contain i, in order; the batch's
+          first key and every other death are marked -1, to check all.
         """
         table = self.table
         subset_elems, subset_id = self.subset_elems, self.subset_id
@@ -351,7 +371,7 @@ class _Fixpoint:
                 break
             sups = list(self._supersets(x_elems, self.top))
             for h in _bits(table[x_id]):
-                for y_id, free, stems in sups:
+                for y_id, free, stems, _ in sups:
                     if not table[y_id] & free << stems[h]:
                         table[x_id] ^= 1 << h
                         key = x_id * span + h
@@ -359,30 +379,28 @@ class _Fixpoint:
                             unsupported[key] = y_id
                         append(key)
                         break
+        marks = array("b", [-1]) * len(deaths)  # one per key, appended with it
         # per subset size: the positions of its proper subsets of at most k
-        # elements; for each, proj and every sub-assignment h's support mask
-        downs = [
-            [
-                positions
-                for sub_size in range(min(self.k, size - 1) + 1)
-                for positions in combinations(range(size), sub_size)
+        # elements; for each, its index, proj and every sub-assignment h's
+        # support mask, listed for each position i among the patterns that
+        # contain i, and last in full, which mark -1 picks
+        checks = []
+        for size in range(self.top + 1):
+            sub_sizes = range(min(self.k, size - 1) + 1)
+            downs = [p for sub_size in sub_sizes for p in combinations(range(size), sub_size)]
+            full = [
+                (j, proj, [free << stem for stem in stems])
+                for j, (free, stems, proj) in enumerate(self._masks(size, p) for p in downs)
             ]
-            for size in range(self.top + 1)
-        ]
-        down_masks = [
-            [
-                (proj, [free << stem for stem in stems])
-                for free, stems, proj in (self._masks(size, p) for p in downs[size])
-            ]
-            for size in range(self.top + 1)
-        ]
-        # per popped subset: its immediate supersets with their masks, and
-        # its down-subsets' ids aligned with down_masks
+            picks = [[c for c, p in zip(full, downs) if i in p] for i in range(size)]
+            checks.append((downs, picks + [full]))
+        # per popped subset: its immediate supersets with their masks, its
+        # down-subsets' ids in ``downs`` order, and its size's checks
         neighbours: dict[int, tuple[list, tuple[int, ...], list]] = {}
-        # the array iterator reads the current length at every step, so it
-        # also yields the keys appended below: ``deaths`` is a FIFO queue.
-        # Subset 0 is the empty one; its table is 1 until the empty assignment dies
-        for key in deaths:
+        # array iterators read the current length at every step, so they also
+        # yield the keys and marks appended below: a FIFO queue.  Subset 0 is
+        # the empty one; its table is 1 until the empty assignment dies
+        for key, at in zip(deaths, marks):
             if not table[0]:
                 break
             y_id, g = divmod(key, span)
@@ -391,14 +409,14 @@ class _Fixpoint:
                 y_elems = subset_elems[y_id]
                 size = len(y_elems)
                 ups = list(self._supersets(y_elems, size + 1)) if size < self.top else []
+                downs, picks = checks[size]
                 down_ids = tuple(
-                    subset_id[tuple(map(y_elems.__getitem__, positions))]
-                    for positions in downs[size]
+                    subset_id[tuple(map(y_elems.__getitem__, positions))] for positions in downs
                 )
-                near = neighbours[y_id] = (ups, down_ids, down_masks[size])
-            ups, down_ids, masks = near
+                near = neighbours[y_id] = (ups, down_ids, picks)
+            ups, down_ids, picks = near
             # restriction closure: extensions of g on immediate supersets die
-            for z_id, free, stems in ups:
+            for z_id, free, stems, i in ups:
                 dead = table[z_id] & free << stems[g]
                 if dead:
                     table[z_id] ^= dead
@@ -407,16 +425,20 @@ class _Fixpoint:
                         low = dead & -dead
                         append(z_key + low.bit_length() - 1)
                         dead ^= low
+                    marks.append(-1)
+                    marks.extend(repeat(i, len(deaths) - len(marks)))
             # extension support: small projections of g may have lost their witness
             y_table = table[y_id]
-            for x_id, (proj, supports) in zip(down_ids, masks):
+            for j, proj, supports in picks[at]:
                 h = proj[g]
+                x_id = down_ids[j]
                 if table[x_id] >> h & 1 and not y_table & supports[h]:
                     table[x_id] ^= 1 << h
                     key = x_id * span + h
                     if unsupported is not None:
                         unsupported[key] = y_id
                     append(key)
+                    marks.append(-1)
         return bool(table[0])
 
     def reasons(self):

@@ -77,11 +77,8 @@ class _ForbhMembership:
         self._host: Optional[Structure] = None
         self._images: dict[Structure, tuple[int, ...]] = {}  # per member, on _host
 
-    def __getstate__(self):
-        return {"family": self.family}
-
-    def __setstate__(self, state) -> None:
-        self.__init__(state["family"])
+    def __reduce__(self):
+        return (_ForbhMembership, (self.family,))
 
     def _host_images(self, host: Structure, member: Structure) -> tuple[int, ...]:
         if host is not self._host:
@@ -110,16 +107,27 @@ class _ForbhMembership:
 
 
 class _ConsistencyMembership:
+    """(k,l)-consistency with the template.  A sweep asks ``explain`` about
+    a coloring right after failing it, so the verdict on the structure last
+    decided is kept for ``explain`` to read; the memo is left out of pickles.
+    """
+
     def __init__(self, template: Structure, k: int, l: int):
         self.template = template
         self.k = k
         self.l = l
+        self._last: tuple[Optional[Structure], bool] = (None, False)
+
+    def __reduce__(self):
+        return (_ConsistencyMembership, (self.template, self.k, self.l))
 
     def __call__(self, s: Structure) -> bool:
-        return is_consistent(s, self.template, self.k, self.l)
+        consistent = is_consistent(s, self.template, self.k, self.l)
+        self._last = (s, consistent)
+        return consistent
 
     def explain(self, s: Structure) -> Optional[str]:
-        if self(s):
+        if self._last[1] if self._last[0] is s else self(s):
             return None
         return f"not ({self.k},{self.l})-consistent with the template"
 

@@ -11,9 +11,11 @@ built and checked on its own, to compare views against.
 Three exceptions are the library's earlier, plainer forms, kept to check
 the faster ones against: ``reference_run``, the (k,l) fixpoint's deletion
 loop without its shortcuts, which ``_Fixpoint.run`` must match deletion for
-deletion, with every reason recorded; ``reference_build_JC``, the glued
-structure rebuilt as a union and checked through ``Structure``; and
-``reference_height``, the topological sweep for the longest walk.
+deletion, with every reason recorded (it borrows the fixpoint's tables and
+masks, but lists supersets on its own, with ``plain_supersets``);
+``reference_build_JC``, the glued structure rebuilt as a union and checked
+through ``Structure``; and ``reference_height``, the topological sweep for
+the longest walk.
 """
 
 from __future__ import annotations
@@ -237,10 +239,25 @@ def marking_solution_count(
     return count
 
 
+def plain_supersets(fix, x: tuple[int, ...], top: int) -> list[tuple[int, int, list[int]]]:
+    """``(id, free, stems)`` of every superset of x with at most top
+    elements, sorted by id: x joined with each combination of the other
+    elements, then sorted, with the masks of x's positions in it."""
+    rest = [e for e in range(len(fix.a_ids)) if e not in x]
+    found = []
+    for extra_size in range(1, top - len(x) + 1):
+        for extra in combinations(rest, extra_size):
+            y = tuple(sorted(x + extra))
+            free, stems, _ = fix._masks(len(y), tuple(map(y.index, x)))
+            found.append((fix.subset_id[y], free, stems))
+    return sorted(found, key=lambda sup: sup[0])
+
+
 def reference_run(self) -> tuple[bool, dict[tuple[int, int], tuple]]:
     """The (k,l) deletion loop in its plain form: every neighbour listed
-    again on each pop, support checked before liveness, one ``delete`` call
-    per entry, and every reason recorded.  Returns the verdict and each
+    again on each pop by ``plain_supersets``, every projection checked on
+    each pop, support checked before liveness, one ``delete`` call per
+    entry, and every reason recorded.  Returns the verdict and each
     deleted (s_id, h) with its reason, in deletion order.  ``_Fixpoint.run``
     must make the same deletions in the same order, and its derived reasons
     must be these.  ``self`` is a fresh ``_Fixpoint``."""
@@ -258,7 +275,7 @@ def reference_run(self) -> tuple[bool, dict[tuple[int, int], tuple]]:
     for x_id, x_elems in enumerate(subset_elems):
         if len(x_elems) > self.k:
             break
-        sups = list(self._supersets(x_elems, self.top))
+        sups = plain_supersets(self, x_elems, self.top)
         for h in _bits(table[x_id]):
             for y_id, free, stems in sups:
                 if not table[y_id] & free << stems[h]:
@@ -280,7 +297,7 @@ def reference_run(self) -> tuple[bool, dict[tuple[int, int], tuple]]:
         size = len(y_elems)
         # restriction closure: extensions of g on immediate supersets die
         if size < self.top:
-            for z_id, free, stems in self._supersets(y_elems, size + 1):
+            for z_id, free, stems in plain_supersets(self, y_elems, size + 1):
                 for ext in _bits(table[z_id] & free << stems[g]):
                     delete(z_id, ext, ("restriction", y_id, g))
         # extension support: small projections of g may have lost their witness

@@ -205,6 +205,16 @@ def test_confuse_refuses_oversize_sample_count_at_once(tmp_path):
     )
 
 
+def test_bounds_refuses_threshold_too_long_to_print_at_once():
+    # the threshold has more decimal digits than ``str`` of an int may print
+    assert_refused_at_once("bounds", "--n", "6", "--r", "5", "--t", "1", "--m", "2")
+
+
+def test_bounds_refuses_q_too_long_to_print_at_once():
+    # q = Bell(7) * 2^(7^6) alone is over the printing limit
+    assert_refused_at_once("bounds", "--n", "8", "--r", "6", "--t", "1", "--m", "2")
+
+
 def test_consist_trace_peak_rss(tmp_path):
     # lineq Z3 n=8 at (2,3) deletes 401,002 assignments; the trace path keeps
     # 8 bytes for each, not a reason tuple, so the run stays well under 64 MiB

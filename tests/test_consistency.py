@@ -394,6 +394,12 @@ def test_run_matches_reference_deletions_on_lineq(group, n, kl):
     assert_same_deletions(lineq_amalgam(n, group), build_template(group), *kl)
 
 
+# templates of 12 and 20 elements, so restriction batches are wide
+@pytest.mark.parametrize("group, n", [(AbelianGroup([3]), 4), (AbelianGroup([2, 2]), 2)])
+def test_run_matches_reference_deletions_on_wide_lineq_batches(group, n):
+    assert_same_deletions(lineq_amalgam(n, group), build_template(group), 2, 3)
+
+
 # SHA-256 of the canonical trace documents of the lineq Z2 free amalgams at
 # (2,3); any change to the deletion order or reasons changes these bytes
 TRACE_SHA256 = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 from itertools import product
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finstruct import core, morphisms, verifier
+from finstruct import cli, consistency, core, morphisms, verifier
 from finstruct.consistency import BudgetExceeded
 from finstruct.core import ElementMap, Structure, StructureError, pullback, quotient
 from finstruct.families import (
@@ -620,6 +621,39 @@ def test_check_confusion_reports_failures():
     failed = {enc for enc, _ in report.failures}
     assert failed == {enc for enc in range(16) if bin(enc).count("1") % 2 == 1}
     assert not report.verdict
+
+
+# SHA-256 of the lineq Z2 n=2 sweep's report at m=2, as ``confuse`` prints it
+LINEQ2_REPORT_SHA256 = "4f878a8fbd742b38fe4c7b324a18588ffa605d5d83321e5d7d3696fcb9c3860a"
+
+
+def test_failing_consistency_sweep_runs_one_fixpoint_per_coloring(monkeypatch):
+    # a failing coloring's evidence reads the verdict its membership call has
+    # just found: one fixpoint for each of the 16 colorings and for each of
+    # the base, the two sides and the free amalgam
+    runs = []
+    real_run = consistency._Fixpoint.run
+
+    def run(self):
+        runs.append(self)
+        return real_run(self)
+
+    monkeypatch.setattr(consistency._Fixpoint, "run", run)
+    report = check_confusion(diagram_lineq(2, Z2), 2, consistency_oracle(T2, 2, 3), jobs=1)
+    assert len(runs) == 20
+    text = cli.dump_canonical(report.to_dict())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LINEQ2_REPORT_SHA256
+
+
+def test_consistency_sweep_across_workers_matches_one_process():
+    # each worker unpickles the oracle without its verdict memo
+    d = diagram_lineq(2, Z2)
+    oracle = consistency_oracle(T2, 2, 3)
+    one = check_confusion(d, 2, oracle, jobs=1).to_dict()
+    assert oracle.membership._last[0] is not None
+    assert len(pickle.dumps(oracle)) == len(pickle.dumps(consistency_oracle(T2, 2, 3)))
+    assert pickle.loads(pickle.dumps(oracle)).membership._last == (None, False)
+    assert check_confusion(d, 2, oracle, jobs=2).to_dict() == one
 
 
 def test_oracles_pickle():
