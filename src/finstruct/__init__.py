@@ -2,6 +2,7 @@
 
 from .core import (
     AmalgamResult,
+    BudgetExceeded,
     DomainError,
     ElementMap,
     Signature,
@@ -30,7 +31,6 @@ from .morphisms import (
     restriction_set,
 )
 from .consistency import (
-    BudgetExceeded,
     ConsistencyFamily,
     GameTrace,
     inverse_hom_transfer,

@@ -10,11 +10,10 @@ expanded signature.
 from __future__ import annotations
 
 import sys
-from math import comb
+from math import comb, inf, lgamma, log, log2
 from typing import Optional
 
-from .consistency import BudgetExceeded
-from .core import StructureError
+from .core import BudgetExceeded, StructureError
 
 
 def bell_number(n: int) -> int:
@@ -44,6 +43,29 @@ def atomic_type_count(t: int, r: int) -> int:
     if r < 1:
         raise StructureError("arity bound must be >= 1")
     return bell_number(r + 1) * 2 ** (t * (r + 1) ** r)
+
+
+# bits one report integer, or the Bell triangle, may take (32 MiB), checked
+# from the parameters before any Bell number or power is built: (n, r, t) =
+# (10, 7, 1) plans 252 million bits for the threshold and peaks at 121 MiB
+BITS_LIMIT = 1 << 28
+
+
+def _check_bits(params: BoundsParams) -> None:
+    """Refuse parameters whose threshold, Bell triangle or m^n passes ``BITS_LIMIT``.
+
+    Bell(r+1) <= (r+1)^(r+1), so log2 q <= t*(r+1)^r + (r+1)*log2(r+1).
+    q^C(n,r), the threshold's largest term, has at most C(n,r) times that
+    many bits, the r+2 numbers of the Bell triangle together r+2 times, and
+    m^n n*log2(m).  Floats estimate them, in logarithms where they overflow.
+    """
+    n, r, t = params.n, params.r, params.t
+    log_comb = (lgamma(n + 1) - lgamma(r + 1) - lgamma(n - r + 1)) / log(2)
+    terms = (log2(t) + r * log2(r + 1) if t else -inf, log2((r + 1) * log2(r + 1)))
+    log_q_bits = max(terms) + log2(1 + 2 ** (min(terms) - max(terms)))
+    log_bits = max(log_comb, log2(r + 2)) + log_q_bits
+    if log_bits > log2(BITS_LIMIT) or n * log2(params.m) > BITS_LIMIT:
+        raise BudgetExceeded(f"the threshold condition needs integers over {BITS_LIMIT} bits")
 
 
 def log_ceil2(q: int) -> int:
@@ -93,6 +115,7 @@ class BoundsReport:
     def __init__(self, params: BoundsParams):
         if params.r > params.n:
             raise StructureError("restriction arity exceeds the base order")
+        _check_bits(params)
         self.params = params
         self.q = atomic_type_count(params.t, params.r)
         self.p = log_ceil2(self.q)

@@ -18,13 +18,18 @@ from typing import Optional
 
 from . import bounds as bounds_mod
 from . import consistency, families, verifier
-from .core import ElementMap, Signature, Structure, StructureError
+from .core import BudgetExceeded, ElementMap, Signature, Structure, StructureError
 from .families import AbelianGroup, Diagram, TreeShape
 from .morphisms import KINDS, HomomorphismSearcher, check_morphism, is_isomorphic
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
+
+# elements plus tuples ``gen`` may build in one structure, counted from the
+# arguments first (a diagram holds about three such structures): at the
+# limit, ``gen fn --n 43689 --diagram`` peaks near 190 MiB
+GEN_LIMIT = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +172,17 @@ def structure_to_dot(s: Structure, symmetric: tuple[str, ...] = ()) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
+def _check_gen_size(size: int) -> None:
+    if size > GEN_LIMIT:
+        raise BudgetExceeded(f"{size} elements and tuples exceed the gen limit of {GEN_LIMIT}")
+
+
 def _cmd_gen(args) -> int:
     group = AbelianGroup.parse(args.group) if args.group else None
     if args.family == "fn":
         if args.n is None:
             raise StructureError("gen fn needs --n")
+        _check_gen_size(6 * args.n + 5)  # n + 2 elements, 5n + 3 tuples
         doc = (
             diagram_to_doc(families.diagram_Fn(args.n))
             if args.diagram
@@ -189,6 +200,7 @@ def _cmd_gen(args) -> int:
     elif args.family == "lineq":
         if args.n is None or group is None:
             raise StructureError("gen lineq needs --n and --group")
+        _check_gen_size(9 * args.n - 6)  # 3n - 2 elements, labels, 3n - 3 projections, a mark
         shape = TreeShape.parse(args.shape) if args.shape else None
         if args.diagram:
             doc = diagram_to_doc(families.diagram_lineq(args.n, group, shape=shape))
@@ -199,10 +211,13 @@ def _cmd_gen(args) -> int:
     elif args.family == "path":
         if args.n is None:
             raise StructureError("gen path needs --n")
+        _check_gen_size(2 * args.n + 1)
         doc = structure_to_doc(families.gen_Pn(args.n))
     elif args.family == "template":
         if group is None:
             raise StructureError("gen template needs --group")
+        # |G| + |G|^2 elements, their labels, 3 |G|^2 projections, |G| markers
+        _check_gen_size(5 * group.order**2 + 3 * group.order)
         doc = structure_to_doc(families.build_template(group))
     else:
         raise StructureError(f"unknown family {args.family!r}")
@@ -468,9 +483,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (
-        StructureError, consistency.BudgetExceeded, OSError, json.JSONDecodeError, RecursionError
-    ) as exc:
+    except (StructureError, BudgetExceeded, OSError, json.JSONDecodeError, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -27,14 +27,10 @@ from math import comb
 from typing import Optional
 
 from . import morphisms
-from .core import ElementMap, SignatureMismatch, Structure, StructureError
+from .core import BudgetExceeded, ElementMap, SignatureMismatch, Structure, StructureError
 
-
-class BudgetExceeded(RuntimeError):
-    """A table, sweep or enumeration would exceed its resource budget."""
-
-
-DEFAULT_TABLE_CAP = 2_000_000
+# subsets, and initial table entries, a fixpoint may hold; read when it refuses
+TABLE_CAP = 2_000_000
 # bytes the fixpoint may plan for its tables, support masks and proj lists
 # (see ``_Fixpoint``): a trace of lineq Z5 n=4 at (2,3) plans 14 MiB, and
 # Z5 n=2 at (2,4), refused, 639 MiB
@@ -118,7 +114,7 @@ class _Fixpoint:
     between numbers and sorted element-index tuples.  An assignment on a
     subset is packed into an int, one base-|B| digit per subset position
     (position r weighs base**r).  Each subset's table is one int whose bit h
-    is set while packed assignment h survives.  ``max_entries`` caps the
+    is set while packed assignment h survives.  ``TABLE_CAP`` caps the
     number of subsets, counted before any is listed, and the initial
     entries, counted while the tables are built.
 
@@ -164,9 +160,7 @@ class _Fixpoint:
     every pop, and marks each deletion with the support checks it needs.
     """
 
-    def __init__(
-        self, a: Structure, b: Structure, k: int, l: int, max_entries: int, trace: bool = False
-    ):
+    def __init__(self, a: Structure, b: Structure, k: int, l: int, trace: bool = False):
         _validate_args(a, b, k, l)
         self.a = a
         self.b = b
@@ -178,7 +172,7 @@ class _Fixpoint:
         self.mask_memo: dict[tuple[int, tuple[int, ...]], tuple[int, list[int], list[int]]] = {}
         self.tuple_memo: dict[tuple[str, int, tuple[int, ...]], int] = {}
         self._constraints()
-        self._subsets(max_entries, trace)
+        self._subsets(trace)
         # the packed keys of the deleted assignments, in deletion order
         self.deaths = array("q")
         # the superset Y behind each "unsupported" death; only spoiler_trace
@@ -224,14 +218,14 @@ class _Fixpoint:
                     table &= self._tuple_mask(name, len(elems), at)
         return table
 
-    def _subsets(self, max_entries: int, trace: bool) -> None:
+    def _subsets(self, trace: bool) -> None:
         n = len(self.a_ids)
         self.top = min(self.l, n)
         # each subset takes at least an entry's memory: count them before listing
         subsets = sum(comb(n, size) for size in range(self.top + 1))
-        if subsets > max_entries:
+        if subsets > TABLE_CAP:
             raise BudgetExceeded(
-                f"consistency table needs {subsets} subsets, over its {max_entries}-entry cap"
+                f"consistency table needs {subsets} subsets, over its {TABLE_CAP}-entry cap"
             )
         self._check_memory(n, trace)
         self.span = self.base**self.top
@@ -248,10 +242,8 @@ class _Fixpoint:
         for elems in self.subset_elems:
             self.table.append(self._initial_table(elems))
             entries += self.table[-1].bit_count()
-            if entries > max_entries:
-                raise BudgetExceeded(
-                    f"consistency table exceeds {max_entries} entries; raise the cap to proceed"
-                )
+            if entries > TABLE_CAP:
+                raise BudgetExceeded(f"consistency table exceeds its {TABLE_CAP}-entry cap")
 
     def _check_memory(self, n: int, trace: bool) -> None:
         """Refuse a run whose tables, support masks and proj lists would
@@ -550,45 +542,27 @@ def _bits(mask: int):
         mask ^= low
 
 
-def kl_family(
-    a: Structure,
-    b: Structure,
-    k: int,
-    l: int,
-    max_entries: int = DEFAULT_TABLE_CAP,
-) -> Optional[ConsistencyFamily]:
+def kl_family(a: Structure, b: Structure, k: int, l: int) -> Optional[ConsistencyFamily]:
     """The maximal (k,l)-consistent family on (a, b), or None if none exists."""
-    fix = _Fixpoint(a, b, k, l, max_entries)
+    fix = _Fixpoint(a, b, k, l)
     if fix.run():
         return fix.family()
     return None
 
 
-def is_consistent(
-    a: Structure,
-    b: Structure,
-    k: int,
-    l: int,
-    max_entries: int = DEFAULT_TABLE_CAP,
-) -> bool:
+def is_consistent(a: Structure, b: Structure, k: int, l: int) -> bool:
     """True iff a nonempty (k,l)-consistent family on (a, b) exists."""
-    return _Fixpoint(a, b, k, l, max_entries).run()
+    return _Fixpoint(a, b, k, l).run()
 
 
-def spoiler_trace(
-    a: Structure,
-    b: Structure,
-    k: int,
-    l: int,
-    max_entries: int = DEFAULT_TABLE_CAP,
-) -> Optional[GameTrace]:
+def spoiler_trace(a: Structure, b: Structure, k: int, l: int) -> Optional[GameTrace]:
     """The spoiler strategy tree read off the fixpoint's deletion reasons, or
     None iff the instance is (k,l)-consistent.
 
     The tree is not checked here; ``validate_trace`` checks it against the
     game rules, independently of the fixpoint.
     """
-    fix = _Fixpoint(a, b, k, l, max_entries, trace=True)
+    fix = _Fixpoint(a, b, k, l, trace=True)
     initial = list(fix.table)  # ints are immutable: this shares, not copies
     if fix.run():
         return None

@@ -21,6 +21,10 @@ class SignatureMismatch(StructureError):
     """Two structures that were expected to share a signature do not."""
 
 
+class BudgetExceeded(RuntimeError):
+    """A table, sweep or enumeration would exceed its resource budget."""
+
+
 class DomainError(StructureError):
     """An identifier is used outside the domain that declares it."""
 

@@ -13,8 +13,7 @@ from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import core, morphisms
-from .consistency import BudgetExceeded
-from .core import ElementMap, Signature, Structure, StructureError
+from .core import BudgetExceeded, ElementMap, Signature, Structure, StructureError
 
 
 class AbelianGroup:

@@ -14,11 +14,11 @@ per member and kept for that host alone.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import core, families, morphisms
-from .consistency import BudgetExceeded, is_consistent
-from .core import ElementMap, Structure, StructureError, pullback
+from .consistency import is_consistent
+from .core import BudgetExceeded, ElementMap, Structure, StructureError, pullback
 from .families import Coloring, Diagram, build_JC
 from .morphisms import HomomorphismSearcher
 from .rng import SplitMix64
@@ -28,29 +28,28 @@ SAMPLE_LIMIT = 1 << EXHAUSTIVE_SPOT_LIMIT  # as many colorings as exhaustive mod
 
 
 class ClassOracle:
-    """A membership test plus the closure facts the checks rely on.
+    """A class of finite structures closed under inverse homomorphisms.
 
-    ``inverse_hom_closed`` asserts: a homomorphism from A' to a member A
-    makes A' a member.  ``witness`` optionally explains non-membership.
+    Calling the oracle decides membership, and ``explain`` names why a
+    structure is no member, or returns None for a member.  Closure is the
+    contract of the type: a homomorphism from A' to a member A makes A' a
+    member.  Forb_h and the (k,l)-consistent instances of a template are
+    both closed so, and ``witnesses_failure`` relies on it.  Subclasses
+    define ``__call__`` and ``explain``; ``member`` stays the base's, so
+    every membership test of a sweep goes through one method.
     """
 
-    __slots__ = ("membership", "inverse_hom_closed", "witness")
+    def __call__(self, s: Structure) -> bool:
+        raise NotImplementedError
 
-    def __init__(
-        self,
-        membership: Callable[[Structure], bool],
-        inverse_hom_closed: bool,
-        witness: Optional[Callable[[Structure], Optional[str]]] = None,
-    ):
-        self.membership = membership
-        self.inverse_hom_closed = inverse_hom_closed
-        self.witness = witness
+    def explain(self, s: Structure) -> Optional[str]:
+        raise NotImplementedError
 
     def member(self, s: Structure) -> bool:
-        return self.membership(s)
+        return self(s)
 
 
-class _ForbhMembership:
+class _ForbhMembership(ClassOracle):
     """No family member maps homomorphically into the input.
 
     Every input is answered from its host's images: a view (as ``build_JC``
@@ -64,12 +63,15 @@ class _ForbhMembership:
     so the verdict is the one a search of ``s`` itself would give; for a
     glued J_C, ``build_JC`` proves that J_C is J_all induced on ``alive``.
 
-    The images of each member are found by one search of the host, which
-    visits every homomorphism where ``exists`` stops at the first: a sweep
-    gains once a few colorings share the host, while a single structure
-    pays more.  The memo holds one host at a time, the one most recently
-    asked about, and is left out of pickles, so each worker rebuilds it
-    from its own copy of the host.  ``explain`` searches the input itself.
+    Membership and ``explain`` share one walk, ``_first_member``, over the
+    members and their host images: the first member with an image inside
+    ``s.alive`` is the first one that maps into ``s``, and ``explain``
+    searches ``s`` for that member alone.  The images of each member are
+    found by one search of the host, which visits every homomorphism where
+    ``exists`` stops at the first: a sweep gains once a few colorings share
+    the host, while a single structure pays more.  The memo holds one host
+    at a time, the one most recently asked about, and is left out of
+    pickles, so each worker rebuilds it from its own copy of the host.
     """
 
     def __init__(self, family):
@@ -89,24 +91,25 @@ class _ForbhMembership:
             images = self._images[member] = tuple(HomomorphismSearcher(host).image_masks(member))
         return images
 
-    def __call__(self, s: Structure) -> bool:
+    def _first_member(self, s: Structure) -> Optional[Structure]:
         dead = ~s.alive
-        return not any(
-            not image & dead
-            for member in self.family(s)
-            for image in self._host_images(s.host, member)
-        )
-
-    def explain(self, s: Structure) -> Optional[str]:
-        searcher = HomomorphismSearcher(s)
         for member in self.family(s):
-            hom = searcher.find(member)
-            if hom is not None:
-                return f"member of size {len(member.domain)} maps in via {dict(hom.items())}"
+            if any(not image & dead for image in self._host_images(s.host, member)):
+                return member
         return None
 
+    def __call__(self, s: Structure) -> bool:
+        return self._first_member(s) is None
 
-class _ConsistencyMembership:
+    def explain(self, s: Structure) -> Optional[str]:
+        member = self._first_member(s)
+        if member is None:
+            return None
+        hom = HomomorphismSearcher(s).find(member)
+        return f"member of size {len(member.domain)} maps in via {dict(hom.items())}"
+
+
+class _ConsistencyMembership(ClassOracle):
     """(k,l)-consistency with the template.  A sweep asks ``explain`` about
     a coloring right after failing it, so the verdict on the structure last
     decided is kept for ``explain`` to read; the memo is left out of pickles.
@@ -139,32 +142,25 @@ def forbh_oracle(family) -> ClassOracle:
     must include the first member that maps homomorphically into ``s``
     whenever one does.  Each family bounds its members by the input alone
     and proves the bound in its docstring.  The input is a member of the
-    class iff no yielded member maps in; the witness names the first one
+    class iff no yielded member maps in; ``explain`` names the first one
     that does.
     """
-    impl = _ForbhMembership(family)
-    return ClassOracle(membership=impl, inverse_hom_closed=True, witness=impl.explain)
+    return _ForbhMembership(family)
 
 
 def consistency_oracle(template: Structure, k: int, l: int) -> ClassOracle:
     """Membership oracle for the (k,l)-consistent instances of a template."""
-    impl = _ConsistencyMembership(template, k, l)
-    return ClassOracle(membership=impl, inverse_hom_closed=True, witness=impl.explain)
+    return _ConsistencyMembership(template, k, l)
 
 
 def witnesses_failure(diagram: Diagram, oracle: ClassOracle) -> bool:
     """True iff no amalgam over the diagram stays in the class.
 
     Decided on the free amalgam alone: it maps homomorphically onto every
-    amalgam, so for an inverse-homomorphism-closed class a non-member free
-    amalgam rules out every amalgam.  Oracles without that closure are
-    refused, and the diagram's own parts must be members.
+    amalgam, and every ``ClassOracle`` is closed under inverse
+    homomorphisms, so a non-member free amalgam rules out every amalgam.
+    The diagram's own parts must be members.
     """
-    if not oracle.inverse_hom_closed:
-        raise StructureError(
-            "oracle is not closed under inverse homomorphisms; "
-            "the free amalgam would only decide itself"
-        )
     for label, part in (("base", diagram.base), ("left", diagram.left), ("right", diagram.right)):
         if not oracle.member(part):
             raise StructureError(f"diagram {label} is not a member of the class")
@@ -217,8 +213,7 @@ def _test_colorings(
         coloring = Coloring.from_encoding(spots, enc)
         glued = build_JC(diagram, m, coloring)
         if not oracle.member(glued):
-            evidence = oracle.witness(glued) if oracle.witness else None
-            failures.append((enc, evidence))
+            failures.append((enc, oracle.explain(glued)))
     return failures
 
 

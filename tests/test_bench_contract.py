@@ -33,3 +33,10 @@ def test_sweep_hooks_exist():
     assert callable(verifier._test_colorings)
     assert callable(verifier._confusion_chunk)
     assert isinstance(inspect.getattr_static(families.Coloring, "from_encoding"), classmethod)
+
+
+def test_oracles_count_members_through_the_base_class():
+    # the tracer wraps ``ClassOracle.member``; an override would go uncounted
+    for impl in (verifier._ForbhMembership, verifier._ConsistencyMembership):
+        assert issubclass(impl, verifier.ClassOracle)
+        assert "member" not in vars(impl)

@@ -215,6 +215,33 @@ def test_bounds_refuses_q_too_long_to_print_at_once():
     assert_refused_at_once("bounds", "--n", "8", "--r", "6", "--t", "1", "--m", "2")
 
 
+def test_bounds_refuses_oversize_atomic_type_count_at_once():
+    # q = Bell(31) * 2^(31^30) could never be held, let alone printed
+    assert_refused_at_once("bounds", "--n", "60", "--r", "30", "--t", "1", "--m", "2")
+
+
+def test_bounds_refuses_oversize_threshold_at_once(capsys):
+    # q has 9^8 bits and the threshold is q^C(12,8), about 21 billion bits;
+    # at (8,6,1) the threshold has 3.3 million bits and is still computed
+    assert_refused_at_once("bounds", "--n", "12", "--r", "8", "--t", "1", "--find-m", "--cap", "10")
+    code, text = run(capsys, "bounds", "--n", "8", "--r", "6", "--t", "1", "--find-m", "--cap", "10")
+    assert code == 0 and json.loads(text)["minimal_m"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fn", "--n", "30000000"),
+        ("path", "--n", "30000000"),
+        ("lineq", "--n", "4194304", "--group", "2"),
+        ("template", "--group", "3000"),
+    ],
+    ids=["fn", "path", "lineq", "template"],
+)
+def test_gen_refuses_oversize_family_at_once(argv):
+    assert_refused_at_once("gen", *argv)
+
+
 def test_consist_trace_peak_rss(tmp_path):
     # lineq Z3 n=8 at (2,3) deletes 401,002 assignments; the trace path keeps
     # 8 bytes for each, not a reason tuple, so the run stays well under 64 MiB

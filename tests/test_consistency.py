@@ -294,9 +294,10 @@ def test_inverse_hom_transfer_rejects_non_hom():
         inverse_hom_transfer(other, bad, family)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(consistency, "TABLE_CAP", 100)
     with pytest.raises(BudgetExceeded):
-        kl_family(lineq_amalgam(4), T2, 2, 3, max_entries=100)
+        kl_family(lineq_amalgam(4), T2, 2, 3)
 
 
 UNARY = tuple(name for name, arity in T2.signature.symbols if arity == 1)
@@ -340,7 +341,7 @@ def test_fixpoint_matches_game_oracle(instance, kl):
     st.integers(1, 3),
 )
 def test_initial_tables_match_brute_force(instance, template, l):
-    fix = consistency._Fixpoint(instance, template, 1, l, consistency.DEFAULT_TABLE_CAP)
+    fix = consistency._Fixpoint(instance, template, 1, l)
     base = max(len(template.domain), 1)
     digit = {v: i for i, v in enumerate(template.domain)}
     expected = {
@@ -366,10 +367,7 @@ def assert_same_deletions(instance: Structure, template: Structure, k: int, l: i
     order, on the verdict and the trace path; on the trace path the derived
     reasons are the ones the reference records."""
     for trace in (False, True):
-        fast, slow = (
-            consistency._Fixpoint(instance, template, k, l, consistency.DEFAULT_TABLE_CAP, trace)
-            for _ in range(2)
-        )
+        fast, slow = (consistency._Fixpoint(instance, template, k, l, trace) for _ in range(2))
         consistent, reasons = reference_run(slow)
         assert fast.run() == consistent
         assert fast.table == slow.table
