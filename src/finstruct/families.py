@@ -199,7 +199,7 @@ class TreeShape:
 class Diagram:
     """A span of two embeddings of a common base into a left and right side."""
 
-    __slots__ = ("base", "left", "right", "left_emb", "right_emb", "_hash", "_skeletons")
+    __slots__ = ("base", "left", "right", "left_emb", "right_emb", "_skeletons")
 
     def __init__(
         self,
@@ -220,7 +220,6 @@ class Diagram:
         self.right = right
         self.left_emb = left_emb
         self.right_emb = right_emb
-        self._hash = hash((base, left, right, left_emb, right_emb))
         self._skeletons: dict[int, _JCSkeleton] = {}  # built on first use, per m
 
     @property
@@ -251,7 +250,7 @@ class Diagram:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.base, self.left, self.right, self.left_emb, self.right_emb))
 
     def __repr__(self) -> str:
         return f"Diagram(|A|={self.order}, |L|={len(self.left.domain)}, |R|={len(self.right.domain)})"
@@ -791,13 +790,23 @@ def cplus_check(splus: Structure) -> bool:
 G_MAX_DEPTH = 4
 
 
-def _path_bound(s: Structure) -> int:
-    """Most nodes of an Ed-path that the F and P families need to try."""
-    h = core.height(s, ("Ed",))
-    return len(s.domain) if h is None else h + 1
+class _PathFamily:
+    """One member per path length n, for n up to h + 1 when Ed is acyclic
+    with height h and up to |s| otherwise; ``generate`` builds member n."""
+
+    def __init__(self):
+        self._cache: dict[int, Structure] = {}
+
+    def __call__(self, s: Structure) -> Iterator[Structure]:
+        h = core.height(s, ("Ed",))
+        most = len(s.domain) if h is None else h + 1
+        for n in range(1, most + 1):
+            if n not in self._cache:
+                self._cache[n] = self.generate(n)
+            yield self._cache[n]
 
 
-class FnFamily:
+class FnFamily(_PathFamily):
     """The colored-path family, indexed by path length; member size is n + 2.
 
     On input ``s`` it yields F_n for n <= h + 1 when Ed is acyclic in ``s``
@@ -810,14 +819,7 @@ class FnFamily:
     always yielded.
     """
 
-    def __init__(self):
-        self._cache: dict[int, Structure] = {}
-
-    def __call__(self, s: Structure) -> Iterator[Structure]:
-        for n in range(1, _path_bound(s) + 1):
-            if n not in self._cache:
-                self._cache[n] = gen_Fn(n)
-            yield self._cache[n]
+    generate = staticmethod(gen_Fn)
 
 
 class GFamily:
@@ -858,18 +860,11 @@ class GFamily:
         yield from self.members_of_depth(depth)
 
 
-class PnFamily:
+class PnFamily(_PathFamily):
     """The source-to-target path family; member size is n.
 
     Yields P_n for the same n as FnFamily, by the same proof: the image of
     P_n is an S-to-T Ed-walk, whose shortest sub-walk is a simple path.
     """
 
-    def __init__(self):
-        self._cache: dict[int, Structure] = {}
-
-    def __call__(self, s: Structure) -> Iterator[Structure]:
-        for n in range(1, _path_bound(s) + 1):
-            if n not in self._cache:
-                self._cache[n] = gen_Pn(n)
-            yield self._cache[n]
+    generate = staticmethod(gen_Pn)

@@ -3,12 +3,14 @@
 The two built-in oracle constructors cover classes defined by forbidden
 homomorphisms and by local consistency; both are closed under inverse
 homomorphisms, which is what lets the free amalgam decide amalgamation
-failure for every amalgam at once.  Confusion sweeps iterate colorings of
-the canonical blow-up embeddings, glue, and test membership, optionally
-across worker processes in one contiguous share of colorings per worker.
-A glued J_C is a mask over the skeleton's J_all.  Any structure is tested
-against the images of the family members in its host, found by one search
-per member and kept for that host alone.
+failure for every amalgam at once.  An oracle defines only the evidence
+that a structure is no member, and decides and explains from it once.
+Confusion sweeps iterate colorings of the canonical blow-up embeddings,
+glue, and test membership, optionally across worker processes in one
+contiguous share of colorings per worker.  A glued J_C is a mask over the
+skeleton's J_all.  Any structure is tested against the images of the
+family members in its host, found by one search per member and kept for
+that host alone.
 """
 
 from __future__ import annotations
@@ -30,23 +32,28 @@ SAMPLE_LIMIT = 1 << EXHAUSTIVE_SPOT_LIMIT  # as many colorings as exhaustive mod
 class ClassOracle:
     """A class of finite structures closed under inverse homomorphisms.
 
-    Calling the oracle decides membership, and ``explain`` names why a
-    structure is no member, or returns None for a member.  Closure is the
+    A subclass defines one hook, ``evidence(s)``: None for a member, else
+    why ``s`` is no member.  ``member`` keeps the evidence, with the
+    structure it decided, in one memo that subclasses leave out of pickles,
+    and ``explain`` reads it back for that structure, so a sweep explaining
+    the coloring it has just failed decides it once.  Closure is the
     contract of the type: a homomorphism from A' to a member A makes A' a
     member.  Forb_h and the (k,l)-consistent instances of a template are
-    both closed so, and ``witnesses_failure`` relies on it.  Subclasses
-    define ``__call__`` and ``explain``; ``member`` stays the base's, so
-    every membership test of a sweep goes through one method.
+    both closed so, and ``witnesses_failure`` relies on it.
     """
 
-    def __call__(self, s: Structure) -> bool:
-        raise NotImplementedError
+    _last: tuple[Optional[Structure], Optional[str]] = (None, None)
 
-    def explain(self, s: Structure) -> Optional[str]:
+    def evidence(self, s: Structure) -> Optional[str]:
         raise NotImplementedError
 
     def member(self, s: Structure) -> bool:
-        return self(s)
+        self._last = (s, self.evidence(s))
+        return self._last[1] is None
+
+    def explain(self, s: Structure) -> Optional[str]:
+        last, evidence = self._last
+        return evidence if last is s else self.evidence(s)
 
 
 class _ForbhMembership(ClassOracle):
@@ -63,15 +70,14 @@ class _ForbhMembership(ClassOracle):
     so the verdict is the one a search of ``s`` itself would give; for a
     glued J_C, ``build_JC`` proves that J_C is J_all induced on ``alive``.
 
-    Membership and ``explain`` share one walk, ``_first_member``, over the
-    members and their host images: the first member with an image inside
-    ``s.alive`` is the first one that maps into ``s``, and ``explain``
-    searches ``s`` for that member alone.  The images of each member are
-    found by one search of the host, which visits every homomorphism where
-    ``exists`` stops at the first: a sweep gains once a few colorings share
-    the host, while a single structure pays more.  The memo holds one host
-    at a time, the one most recently asked about, and is left out of
-    pickles, so each worker rebuilds it from its own copy of the host.
+    The evidence walks the members once: the first with an image inside
+    ``s.alive`` is the first that maps into ``s``, and ``s`` is searched for
+    it alone to name the map.  The images of each member are found by one
+    search of the host, which visits every homomorphism where ``exists``
+    stops at the first: a sweep gains once a few colorings share the host,
+    while a single structure pays more.  The memo holds one host at a time,
+    the one most recently asked about, and is left out of pickles, so each
+    worker rebuilds it from its own copy of the host.
     """
 
     def __init__(self, family):
@@ -91,46 +97,28 @@ class _ForbhMembership(ClassOracle):
             images = self._images[member] = tuple(HomomorphismSearcher(host).image_masks(member))
         return images
 
-    def _first_member(self, s: Structure) -> Optional[Structure]:
+    def evidence(self, s: Structure) -> Optional[str]:
         dead = ~s.alive
         for member in self.family(s):
             if any(not image & dead for image in self._host_images(s.host, member)):
-                return member
+                hom = HomomorphismSearcher(s).find(member)
+                return f"member of size {len(member.domain)} maps in via {dict(hom.items())}"
         return None
-
-    def __call__(self, s: Structure) -> bool:
-        return self._first_member(s) is None
-
-    def explain(self, s: Structure) -> Optional[str]:
-        member = self._first_member(s)
-        if member is None:
-            return None
-        hom = HomomorphismSearcher(s).find(member)
-        return f"member of size {len(member.domain)} maps in via {dict(hom.items())}"
 
 
 class _ConsistencyMembership(ClassOracle):
-    """(k,l)-consistency with the template.  A sweep asks ``explain`` about
-    a coloring right after failing it, so the verdict on the structure last
-    decided is kept for ``explain`` to read; the memo is left out of pickles.
-    """
+    """(k,l)-consistency with the template: one fixpoint per structure decided."""
 
     def __init__(self, template: Structure, k: int, l: int):
         self.template = template
         self.k = k
         self.l = l
-        self._last: tuple[Optional[Structure], bool] = (None, False)
 
     def __reduce__(self):
         return (_ConsistencyMembership, (self.template, self.k, self.l))
 
-    def __call__(self, s: Structure) -> bool:
-        consistent = is_consistent(s, self.template, self.k, self.l)
-        self._last = (s, consistent)
-        return consistent
-
-    def explain(self, s: Structure) -> Optional[str]:
-        if self._last[1] if self._last[0] is s else self(s):
+    def evidence(self, s: Structure) -> Optional[str]:
+        if is_consistent(s, self.template, self.k, self.l):
             return None
         return f"not ({self.k},{self.l})-consistent with the template"
 

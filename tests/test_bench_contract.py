@@ -36,7 +36,11 @@ def test_sweep_hooks_exist():
 
 
 def test_oracles_count_members_through_the_base_class():
-    # the tracer wraps ``ClassOracle.member``; an override would go uncounted
+    # the tracer wraps ``ClassOracle.member`` and ``explain`` as each subclass
+    # resolves it; an override would go uncounted, and each subclass defines
+    # only the evidence both read
     for impl in (verifier._ForbhMembership, verifier._ConsistencyMembership):
         assert issubclass(impl, verifier.ClassOracle)
-        assert "member" not in vars(impl)
+        assert not {"member", "explain", "__call__"} & set(vars(impl))
+        assert "evidence" in vars(impl)
+    assert "__call__" not in vars(verifier.ClassOracle)

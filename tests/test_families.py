@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +50,8 @@ from finstruct.morphisms import (
     find_homomorphism,
     is_isomorphic,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_abelian_group():
@@ -303,6 +309,27 @@ def test_skeleton_is_memoised_per_m_and_pickled(monkeypatch):
 
     monkeypatch.setattr(morphisms, "canonical_embeddings", spy)
     assert again == d and again.skeleton(2).spots == two.spots
+
+
+def test_unpickled_diagram_hashes_as_a_fresh_one_under_another_hash_seed():
+    # string hashes depend on PYTHONHASHSEED, so a diagram pickled in one
+    # process (say, the parent of spawned workers) must not carry its hash
+    # into another
+    prelude = "import pickle, sys; from finstruct.families import diagram_Fn; "
+    dump = prelude + "sys.stdout.buffer.write(pickle.dumps(diagram_Fn(3)))"
+    load = prelude + (
+        "d, fresh = pickle.loads(sys.stdin.buffer.read()), diagram_Fn(3); "
+        "print(d == fresh, hash(d) == hash(fresh))"
+    )
+
+    def run(code, seed, data=None):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+        argv = [sys.executable, "-c", code]
+        return subprocess.run(argv, env=env, input=data, capture_output=True, check=True).stdout
+
+    pickled = run(dump, "7")
+    for seed in ("1", "2"):
+        assert run(load, seed, pickled).split() == [b"True", b"True"]
 
 
 @pytest.mark.parametrize(

@@ -499,6 +499,24 @@ def test_forbh_memo_holds_one_host_outside_pickles():
     assert again._host is None and not again._images
 
 
+def test_failing_forbh_sweep_walks_the_family_once_per_decision(monkeypatch):
+    # a failing coloring's evidence is what its membership test found, so
+    # the family is walked once for each of the 16 colorings and for each of
+    # the base, the two sides and the free amalgam
+    walks = []
+    real_call = FixedMembers.__call__
+
+    def walk(self, s):
+        walks.append(s)
+        return real_call(self, s)
+
+    monkeypatch.setattr(FixedMembers, "__call__", walk)
+    oracle = forbh_oracle(FixedMembers([RED_BLUE_NEIGHBOUR]))
+    report = check_confusion(diagram_Fn(2), 2, oracle, jobs=1)
+    assert report.colorings_tested == 16 and len(report.failures) == 14
+    assert len(walks) == 16 + 4
+
+
 def test_check_confusion_parallel_matches_sequential():
     d = diagram_Fn(2)
     oracle = forbh_oracle(FnFamily())
@@ -572,14 +590,14 @@ def test_sample_sweep_draws_each_encoding_as_it_tests_it(monkeypatch):
     monkeypatch.setattr(SplitMix64, "next_bits", counting)
     calls = []
 
-    def membership(s):
+    def reason(s):
         calls.append(s)
         if len(calls) == 4 + 3:  # base, left, right and free amalgam come first
             raise RuntimeError("third coloring")
-        return len(calls) != 4  # the free amalgam is no member
+        return "free amalgam" if len(calls) == 4 else None  # it is no member
 
     class Counting(ClassOracle):
-        __call__ = staticmethod(membership)
+        evidence = staticmethod(reason)
 
     oracle = Counting()
     with pytest.raises(RuntimeError, match="third coloring"):
@@ -645,13 +663,13 @@ def test_failing_consistency_sweep_runs_one_fixpoint_per_coloring(monkeypatch):
 
 
 def test_consistency_sweep_across_workers_matches_one_process():
-    # each worker unpickles the oracle without its verdict memo
+    # each worker unpickles the oracle without its evidence memo
     d = diagram_lineq(2, Z2)
     oracle = consistency_oracle(T2, 2, 3)
     one = check_confusion(d, 2, oracle, jobs=1).to_dict()
     assert oracle._last[0] is not None
     assert len(pickle.dumps(oracle)) == len(pickle.dumps(consistency_oracle(T2, 2, 3)))
-    assert pickle.loads(pickle.dumps(oracle))._last == (None, False)
+    assert pickle.loads(pickle.dumps(oracle))._last == (None, None)
     assert check_confusion(d, 2, oracle, jobs=2).to_dict() == one
 
 
