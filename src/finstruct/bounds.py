@@ -68,6 +68,56 @@ def _check_bits(params: BoundsParams) -> None:
         raise BudgetExceeded(f"the threshold condition needs integers over {BITS_LIMIT} bits")
 
 
+def _print_limit() -> int:
+    """Most decimal digits ``str`` of an int may print; 0 for no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _q_bits_floor(r: int, t: int) -> float:
+    """A lower bound on log2 q, from floats, where q = Bell(r+1) * 2^(t*(r+1)^r).
+
+    Bell(r+1) counts the partitions of r+1 points, at least S(r+1, k) of
+    them for each k, and S(r+1, k) >= k^(r+1-k): put the first k points in
+    their own blocks and each other point in any one of them.  So log2 q
+    >= t*(r+1)^r + max_k (r+1-k)*log2(k).  That is concave in k, so the
+    steps before its peak rise and the rest do not: the peak is the first
+    k whose next step does not rise, found by bisection.  A first term
+    too large for a float is infinite.  The floats may round the bound up
+    by a few units in the last place; callers leave a margin for that.
+    """
+    n = r + 1
+
+    def f(k: int) -> float:
+        return (n - k) * log2(k)
+
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(mid + 1) > f(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    if not t:
+        return f(lo)
+    log_first = log2(t) + r * log2(n)
+    return inf if log_first > 1000 else 2**log_first + f(lo)
+
+
+def check_printable(params: BoundsParams) -> None:
+    """Refuse, from the parameters alone, a q too long for ``str`` to print.
+
+    ``BoundsReport.to_dict`` refuses q once q >= 10^limit, after the Bell
+    triangle behind q is built; here a lower bound on log2 q over
+    limit*log2(10), by a margin of one bit that covers the float rounding,
+    refuses it first, with the same message.  Only a report that is to be
+    printed needs this, so ``condition_holds`` and ``minimal_m`` do not
+    check it.
+    """
+    limit = _print_limit()
+    if limit and _q_bits_floor(params.r, params.t) > limit * log2(10) + 1:
+        raise BudgetExceeded(f"q has over {limit} digits, too many to print")
+
+
 def log_ceil2(q: int) -> int:
     """Smallest p with 2^p >= q."""
     if q < 1:
@@ -86,6 +136,8 @@ class BoundsParams:
                 raise StructureError(f"{label} must be >= 1")
         if t < 0:
             raise StructureError("t must be >= 0")
+        if r > n:
+            raise StructureError("restriction arity exceeds the base order")
         self.r = r
         self.t = t
         self.n = n
@@ -113,8 +165,6 @@ class BoundsReport:
     )
 
     def __init__(self, params: BoundsParams):
-        if params.r > params.n:
-            raise StructureError("restriction arity exceeds the base order")
         _check_bits(params)
         self.params = params
         self.q = atomic_type_count(params.t, params.r)
@@ -137,7 +187,7 @@ class BoundsReport:
         }
         # refuse what ``str`` may not print (0: no limit); 2^(3 x limit) is
         # below 10^limit, so a value of at most 3 x limit bits prints
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _print_limit()
         for name in "q spot_count partial_spot_count proof_partial_spot_count threshold".split():
             value = getattr(self, name)
             if limit and value.bit_length() > 3 * limit and value >= 10**limit:

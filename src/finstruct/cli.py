@@ -390,7 +390,9 @@ def _cmd_bounds(args) -> int:
         return EXIT_OK
     if args.m is None:
         raise StructureError("bounds needs --m or --find-m")
-    report = bounds_mod.condition_holds(bounds_mod.BoundsParams(args.r, args.t, args.n, args.m))
+    params = bounds_mod.BoundsParams(args.r, args.t, args.n, args.m)
+    bounds_mod.check_printable(params)
+    report = bounds_mod.condition_holds(params)
     sys.stdout.write(dump_canonical(report.to_dict()))
     return EXIT_OK
 

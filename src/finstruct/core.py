@@ -283,9 +283,12 @@ class MaskIndex:
     the relation, union the OR of all rows and tag an integer naming the
     row table; ``pred[name]`` is the same for (v, u), and ``diag[name]``
     masks the loops.  Wider relations stay tuple sets in ``wide``.
+    ``heights`` keeps the host's own ``height`` per tuple of relation
+    names, worked out on first use: the Forb_h families bound every view
+    of one host by it, so a sweep reads it once.
     """
 
-    __slots__ = ("unary", "succ", "pred", "diag", "wide")
+    __slots__ = ("unary", "succ", "pred", "diag", "wide", "heights")
 
     def __init__(self, host: Structure):
         rank = {v: i for i, v in enumerate(host.domain)}
@@ -295,6 +298,7 @@ class MaskIndex:
         self.pred: dict[str, tuple[list[int], int, int]] = {}
         self.diag: dict[str, int] = {}
         self.wide: dict[str, frozenset[tuple[str, ...]]] = {}
+        self.heights: dict[tuple[str, ...], Optional[int]] = {}
         for name, ts in host.relations_items():
             arity = host.signature.arity(name)
             if arity == 1:
@@ -671,9 +675,14 @@ def height(s: Structure, names: Iterable[str]) -> Optional[int]:
     every element of it has a predecessor in it, which only a cycle
     allows; a cycle keeps its elements in every W_k, so the sets then
     settle on a nonempty set.  Elements without an edge out reach nothing
-    and are not scanned.
+    and are not scanned.  A host's own height is kept in its
+    ``MaskIndex.heights``, keyed by ``names``, and read from there again.
     """
     index = s.mask_index()
+    names = tuple(names)
+    own = s.host is s
+    if own and names in index.heights:
+        return index.heights[names]
     tables = []
     tails = 0  # elements of the host with an edge out: the union of the pred rows
     for name in names:
@@ -685,7 +694,7 @@ def height(s: Structure, names: Iterable[str]) -> Optional[int]:
         tails |= index.pred[name][1]
     alive = s.alive
     frontier = alive
-    edges = 0
+    edges: Optional[int] = 0
     while frontier:
         reached = 0
         scan = frontier & tails
@@ -697,12 +706,15 @@ def height(s: Structure, names: Iterable[str]) -> Optional[int]:
             scan ^= low
         reached &= alive
         if reached == frontier:
-            return None
+            edges = None
+            break
         if not reached:
-            return edges
+            break
         frontier = reached
         edges += 1
-    return 0
+    if own:
+        index.heights[names] = edges
+    return edges
 
 
 def reduct(s: Structure, names: Iterable[str]) -> Structure:

@@ -277,8 +277,18 @@ class Coloring:
 
     @classmethod
     def from_encoding(cls, spots: Sequence[ElementMap], encoding: int) -> "Coloring":
-        sides = ["R" if (encoding >> i) & 1 else "L" for i in range(len(spots))]
-        return cls(spots, sides)
+        """The coloring whose spot i is ``"R"`` exactly when bit i of ``encoding`` is set.
+
+        Bits from ``len(spots)`` up are ignored, and a negative encoding is
+        read in two's complement.  The sides are decoded in one pass, lowest
+        bit first, and are valid by construction, so they are not checked.
+        """
+        coloring = cls.__new__(cls)
+        coloring.spots = spots = tuple(spots)
+        n = len(spots)
+        bits = format(encoding & ((1 << n) - 1), "b").zfill(n)[::-1] if n else ""
+        coloring.sides = tuple(bits.translate(_SIDES))
+        return coloring
 
     def of(self, spot: ElementMap) -> str:
         try:
@@ -288,6 +298,9 @@ class Coloring:
 
     def __len__(self) -> int:
         return len(self.spots)
+
+
+_SIDES = str.maketrans("01", "LR")
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +609,9 @@ class _JCSkeleton:
     ``all`` is None.
 
     ``copies`` maps each spot to the ``(L, R)`` pair of its two side
-    copies, each in one form.  With J_all a copy is the mask of its fresh
+    copies, and ``pairs`` lists the same pairs aligned with ``spots``, so
+    a coloring over ``spots`` itself finds them without hashing a spot.
+    Each copy is in one form.  With J_all a copy is the mask of its fresh
     elements over J_all's sorted domain, and ``blowup`` the mask of the
     blow-up's elements.  Without J_all a copy is its fresh names and
     per-symbol tuples as ``_spot_parts`` renders them, and ``blowup`` is 0.
@@ -605,7 +620,7 @@ class _JCSkeleton:
     skeleton raises ``BudgetExceeded``.
     """
 
-    __slots__ = ("j", "spots", "all", "blowup", "copies")
+    __slots__ = ("j", "spots", "all", "blowup", "copies", "pairs")
 
     def __init__(self, diagram: Diagram, m: int):
         size = _skeleton_size(diagram, m)
@@ -634,6 +649,7 @@ class _JCSkeleton:
                 spot: tuple(sum(bit[x] for x in names) for names, _ in pair)
                 for spot, pair in self.copies.items()
             }
+        self.pairs = tuple(self.copies.values())
 
 
 def _glue(signature: Signature, j: Structure, copies: Iterable[tuple[list, dict]]) -> Structure:
@@ -651,10 +667,12 @@ def build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
     """Blow-up of the base glued with one fresh side copy per colored spot.
 
     Spots must be canonical embeddings of the base into its m-fold blow-up;
-    a partial coloring glues only the spots it covers.  The blow-up stays
-    an induced substructure, so each spot, read with the glued domain as
-    target, is the lifted embedding of the base.  Fresh copies are named
-    by their spot's index in the lexicographic spot order.
+    a partial coloring glues only the spots it covers.  A coloring over the
+    skeleton's own ``spots`` tuple, as every sweep's is, reads its copies
+    from ``pairs`` by position; any other looks each spot up in ``copies``.
+    The blow-up stays an induced substructure, so each spot, read with the
+    glued domain as target, is the lifted embedding of the base.  Fresh
+    copies are named by their spot's index in the lexicographic spot order.
 
     When the skeleton has J_all, J_C is J_all induced on ``alive``, the
     blow-up and the fresh elements of the chosen copies.  Every tuple of
@@ -670,12 +688,13 @@ def build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
     structure of its own.
     """
     skeleton = diagram.skeleton(m)
-    try:
-        pieces = [
-            skeleton.copies[spot][side == "R"] for spot, side in zip(coloring.spots, coloring.sides)
-        ]
-    except KeyError:
-        raise StructureError("coloring mentions a spot outside the canonical embeddings") from None
+    pairs = skeleton.pairs
+    if coloring.spots is not skeleton.spots:
+        try:
+            pairs = [skeleton.copies[spot] for spot in coloring.spots]
+        except KeyError:
+            raise StructureError("coloring mentions a spot outside the canonical embeddings") from None
+    pieces = [pair[side == "R"] for pair, side in zip(pairs, coloring.sides)]
     if skeleton.all is None:
         return _glue(diagram.base.signature, skeleton.j, pieces)
     alive = skeleton.blowup
@@ -784,6 +803,16 @@ def cplus_check(splus: Structure) -> bool:
 # (core.height) of the input's directed relations, since a homomorphism maps
 # a directed walk onto a walk of the same length (Hell & Nesetril, Graphs and
 # Homomorphisms, 2004).
+#
+# A view (core.induced_on_mask) is bounded by its host's height, which the
+# host's MaskIndex keeps, so every J_C of one sweep reads one number.  The
+# view is an induced substructure of its host, so its walks are walks of the
+# host, and an acyclic host's height bounds the view's.  The members up to
+# the host's bound contain those up to the view's, in the same order, and a
+# member past the view's bound maps into no view.  So the first member that
+# maps, and with it the verdict and the evidence, are those of the view's
+# own bound.  A cyclic host bounds nothing, and the view's own height is
+# used.
 
 # Deepest tree shapes the G family enumerates: 676 members have depth at most
 # 4, but 458,329 have depth at most 5.
@@ -792,13 +821,17 @@ G_MAX_DEPTH = 4
 
 class _PathFamily:
     """One member per path length n, for n up to h + 1 when Ed is acyclic
-    with height h and up to |s| otherwise; ``generate`` builds member n."""
+    with height h and up to |s| otherwise; ``generate`` builds member n.
+    The height h is the host's when the host's Ed is acyclic: the range up
+    to the host's h + 1 starts with the range up to the view's."""
 
     def __init__(self):
         self._cache: dict[int, Structure] = {}
 
     def __call__(self, s: Structure) -> Iterator[Structure]:
-        h = core.height(s, ("Ed",))
+        h = core.height(s.host, ("Ed",))
+        if h is None:
+            h = core.height(s, ("Ed",))
         most = len(s.domain) if h is None else h + 1
         for n in range(1, most + 1):
             if n not in self._cache:
@@ -816,7 +849,9 @@ class FnFamily(_PathFamily):
     E-adjacent both ways to the images of red and blue; the shortest such
     walk among those elements is a simple path of k <= min(n, |s|) nodes,
     and F_k maps onto it.  So the first member that maps, in order of n, is
-    always yielded.
+    always yielded.  On a view whose host's Ed is acyclic, h is the host's
+    height: the view's walks are the host's, so the host's h bounds the
+    view's, and F_n past the view's own bound maps into no view.
     """
 
     generate = staticmethod(gen_Fn)
@@ -835,6 +870,14 @@ class GFamily:
     subtree at u keeps a homomorphism and loses leaves.  So the first member
     that maps, in leaf order, is always yielded.  D above G_MAX_DEPTH raises
     BudgetExceeded.
+
+    On a view, h is the host's height when the host's Ed0 | Ed1 is acyclic
+    and at most G_MAX_DEPTH, and the view's own otherwise, so no input is
+    refused that the view's own bound would take.  The host's walks hold
+    the view's, so its h bounds the view's; ``all_shapes(leaves, depth)``
+    is the unbounded list with the deeper trees left out, so the members
+    up to the view's depth are the host's with the deeper ones left out,
+    in the same order, and a deeper member maps into no view.
     """
 
     def __init__(self):
@@ -851,7 +894,9 @@ class GFamily:
         return self._cache[depth]
 
     def __call__(self, s: Structure) -> Iterator[Structure]:
-        h = core.height(s, ("Ed0", "Ed1"))
+        h = core.height(s.host, ("Ed0", "Ed1"))
+        if h is None or h > G_MAX_DEPTH:
+            h = core.height(s, ("Ed0", "Ed1"))
         depth = len(s.domain) if h is None else h
         if depth > G_MAX_DEPTH:
             raise BudgetExceeded(
@@ -864,7 +909,8 @@ class PnFamily(_PathFamily):
     """The source-to-target path family; member size is n.
 
     Yields P_n for the same n as FnFamily, by the same proof: the image of
-    P_n is an S-to-T Ed-walk, whose shortest sub-walk is a simple path.
+    P_n is an S-to-T Ed-walk, whose shortest sub-walk is a simple path.  A
+    view is bounded by its host's height as FnFamily's is.
     """
 
     generate = staticmethod(gen_Pn)

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import sys
+from math import log2
+
 import pytest
 
 from finstruct.bounds import (
     BoundsParams,
+    _q_bits_floor,
     atomic_type_count,
     bell_number,
+    check_printable,
     condition_holds,
     log_ceil2,
     minimal_m,
 )
-from finstruct.core import StructureError
+from finstruct.core import BudgetExceeded, StructureError
 
 
 def test_bell_numbers():
@@ -91,3 +96,43 @@ def test_everything_is_exact_int():
     for value in (report.q, report.spot_count, report.threshold):
         assert isinstance(value, int)
     assert report.spot_count == 1000**40
+
+
+def test_q_bits_floor_is_a_lower_bound():
+    # log2 q = t*(r+1)^r + log2 Bell(r+1); the floor is a float, so it may
+    # round above an exact lower bound by a few units in the last place
+    for r in range(1, 61):
+        for t in range(3):
+            exact = t * (r + 1) ** r + log2(bell_number(r + 1))
+            assert _q_bits_floor(r, t) <= exact * (1 + 1e-12)
+    assert _q_bits_floor(4000, 0) > 30_000  # Bell(4001) has about 31,800 bits
+
+
+def printed_or_refused(refuse, params: BoundsParams) -> str:
+    """The printed report's q, or the message of its refusal."""
+    try:
+        refuse(params)
+        return condition_holds(params).to_dict()["q"]
+    except BudgetExceeded as refusal:
+        return str(refusal)
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_check_printable_never_refuses_what_to_dict_prints(monkeypatch, limit):
+    # (r, t) runs past the printing limit of q, both in t (r = 5: 6^5 bits
+    # per predicate) and in r alone: at t = 0, q = Bell(r+1) passes 640
+    # digits from r = 397 on, and the check refuses it from r = 416 on.
+    # Before Python 3.11 ``str`` has no limit, and the bounds read none.
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+    cases = [(r, t) for r in range(1, 7) for t in range(4)] + [(r, 0) for r in (396, 397, 415, 416)]
+    refused = 0
+    for r, t in cases:
+        params = BoundsParams(r, t, r, 1)
+        early = printed_or_refused(check_printable, params)
+        late = printed_or_refused(lambda _: None, params)
+        if early == f"q has over {limit} digits, too many to print":
+            refused += 1
+            assert late == early
+        else:
+            assert early == late  # the check refused nothing else
+    assert refused

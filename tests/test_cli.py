@@ -215,6 +215,15 @@ def test_bounds_refuses_q_too_long_to_print_at_once():
     assert_refused_at_once("bounds", "--n", "8", "--r", "6", "--t", "1", "--m", "2")
 
 
+def test_bounds_refuses_q_too_long_to_print_before_the_bell_triangle():
+    # q = Bell(4001) is far over the printing limit, and its Bell triangle
+    # takes 8 s or more to build, so a refusal within 3 s comes from the
+    # arguments alone
+    start = time.monotonic()
+    assert_refused_at_once("bounds", "--n", "4000", "--r", "4000", "--t", "0", "--m", "2")
+    assert time.monotonic() - start < 3
+
+
 def test_bounds_refuses_oversize_atomic_type_count_at_once():
     # q = Bell(31) * 2^(31^30) could never be held, let alone printed
     assert_refused_at_once("bounds", "--n", "60", "--r", "30", "--t", "1", "--m", "2")

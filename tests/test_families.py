@@ -297,6 +297,45 @@ def test_build_jc_bytes_pinned(name, encodings):
     assert digest == JC_SHA256[name, encodings]
 
 
+@pytest.mark.parametrize("n", range(21))
+def test_from_encoding_decodes_bit_i_as_spot_i(n):
+    spots = canonical_embeddings(diagram_Fn(2).base, 5).members[:n]
+    low = (1 << n) - 1
+    pattern = 0xB6A5_3C1F_9E7 & low
+    encodings = [0, 1 & low, low, pattern, pattern | 0b1011 << n, 1 << n + 7, -1, -2, -pattern - 1]
+    for enc in encodings:
+        coloring = Coloring.from_encoding(spots, enc)
+        assert coloring.spots is spots
+        assert coloring.sides == tuple("R" if enc >> i & 1 else "L" for i in range(n))
+    assert Coloring.from_encoding(list(spots), pattern).spots == spots
+
+
+GLUE_PATH_CASES = {
+    "lineq2": (diagram_lineq(2, AbelianGroup([2])), range(16)),
+    "F4": (diagram_Fn(4), (0, 0xFFFF, 0xB6A5, 0x06C3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GLUE_PATH_CASES))
+def test_build_jc_by_position_matches_by_spot(name):
+    # a coloring over the skeleton's own spots reads its copies by position;
+    # a copied spot tuple, the spots in reverse order and a partial coloring
+    # look each spot up, and must glue the same structures
+    d, encodings = GLUE_PATH_CASES[name]
+    spots = d.skeleton(2).spots
+    for enc in encodings:
+        own = Coloring.from_encoding(spots, enc)
+        assert own.spots is spots
+        glued = build_JC(d, 2, own)
+        copied = Coloring.from_encoding(tuple(list(spots)), enc)
+        assert copied.spots is not spots
+        assert build_JC(d, 2, copied) == glued
+        backwards = Coloring(spots[::-1], own.sides[::-1])
+        assert build_JC(d, 2, backwards) == glued
+        partial = Coloring(spots[1::2], own.sides[1::2])
+        assert build_JC(d, 2, partial) == reference_build_JC(d, 2, partial)
+
+
 def test_skeleton_is_memoised_per_m_and_pickled(monkeypatch):
     d = diagram_Fn(2)
     two = d.skeleton(2)

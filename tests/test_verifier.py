@@ -21,6 +21,7 @@ from finstruct.families import (
     FN_SIGNATURE,
     GFamily,
     G_SIGNATURE,
+    P_SIGNATURE,
     PnFamily,
     TreeShape,
     build_JC,
@@ -402,6 +403,123 @@ def test_forbh_on_views_matches_standalone_copies(host, members, data):
         assert view.host is host and copy.host is copy
         assert oracle.member(view) == oracle.member(copy)
         assert oracle.explain(view) == oracle.explain(copy)
+
+
+DIRECTED = ("Ed", "Ed0", "Ed1")
+
+
+@st.composite
+def family_hosts(draw):
+    """A family and a host of its signature with at most 5 elements.
+
+    Half the hosts draw their directed relations forward only, from x_i to
+    x_j with i < j, so they are acyclic and often taller than their views;
+    the others are often cyclic.  Each directed or unary relation holds at
+    most 4 tuples.  Half the hosts relate every pair by E, so that a family
+    member maps in whenever the directed relations and the labels allow.
+    """
+    family = draw(st.sampled_from([FnFamily, PnFamily, GFamily]))
+    signature = REFERENCE_MEMBERS[family][0].signature
+    domain = [f"x{i}" for i in range(draw(st.integers(1, 5)))]
+    forward = draw(st.booleans())
+    dense = draw(st.booleans())
+    relations = {}
+    for name, arity in signature.symbols:
+        tuples = list(product(domain, repeat=arity))
+        if forward and name in DIRECTED:
+            tuples = [(u, v) for u, v in tuples if u < v]
+        if dense and name == "E":
+            relations[name] = tuples
+        elif tuples:
+            relations[name] = draw(st.sets(st.sampled_from(tuples), max_size=4))
+    return family, Structure(signature, domain, relations)
+
+
+def forbh_outcome(oracle: ClassOracle, s: Structure):
+    """``member`` and ``explain`` on ``s``, or the message of their refusal."""
+    try:
+        return oracle.member(s), oracle.explain(s)
+    except BudgetExceeded as refusal:
+        return str(refusal)
+
+
+# an Ed path a -> b -> c: the host has height 2 and its view on a, b has 1
+TALL_P_HOST = Structure(
+    P_SIGNATURE, ["a", "b", "c"], {"Ed": [("a", "b"), ("b", "c")], "S": [("a",)], "T": [("b",)]}
+)
+TALL_F_HOST = Structure(
+    FN_SIGNATURE,
+    ["a", "b", "blue", "c", "red"],
+    {
+        "Ed": [("a", "b"), ("b", "c")],
+        "S": [("a",)],
+        "T": [("b",)],
+        "R": [("red",)],
+        "B": [("blue",)],
+        "E": [(x, c) for x in "ab" for c in ("blue", "red")]
+        + [(c, x) for x in "ab" for c in ("blue", "red")],
+    },
+)
+# an Ed 2-cycle a <-> b: cyclic, while its view on a, c, d has height 1
+CYCLIC_P_HOST = Structure(
+    P_SIGNATURE,
+    ["a", "b", "c", "d"],
+    {"Ed": [("a", "b"), ("b", "a"), ("a", "c")], "S": [("a",)], "T": [("c",)]},
+)
+# an Ed0 = Ed1 chain x0 -> ... -> x5 of depth 5, above G_MAX_DEPTH, with a
+# red root and every node E-adjacent to blue; without x5 the depth is 4
+DEEP_G_HOST = Structure(
+    G_SIGNATURE,
+    ["blue"] + [f"x{i}" for i in range(6)],
+    {
+        "Ed0": [(f"x{i}", f"x{i + 1}") for i in range(5)],
+        "Ed1": [(f"x{i}", f"x{i + 1}") for i in range(5)],
+        "R": [("x0",)],
+        "B": [("blue",)],
+        "E": [("blue", f"x{i}") for i in range(6)] + [(f"x{i}", "blue") for i in range(6)],
+    },
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(family_hosts(), st.lists(st.integers(0, (1 << 5) - 1), min_size=1, max_size=3))
+# masks over the host's sorted domain
+@example((PnFamily, TALL_P_HOST), [0b011, 0b110])
+@example((FnFamily, TALL_F_HOST), [0b11011, 0b01011])
+@example((PnFamily, CYCLIC_P_HOST), [0b1101, 0b0011, 0b1001])
+@example((GFamily, DEEP_G_HOST), [0b0111111, 0b0000111])
+def test_forbh_bounds_views_by_their_hosts(case, masks):
+    # the families bound a view by its host's height where the host allows;
+    # each verdict, witness and refusal must be that of the standalone copy,
+    # which is bounded by its own height
+    family, host = case
+    oracle = forbh_oracle(family())
+    for alive in [host.alive] + masks:
+        alive &= host.alive
+        view = core.induced_on_mask(host, alive)
+        copy = standalone_copy(host, alive)
+        assert forbh_outcome(oracle, view) == forbh_outcome(forbh_oracle(family()), copy)
+
+
+def test_families_read_the_host_height_once():
+    # the tall hosts bound their views by the host's height 2, kept on the
+    # host's index; the cyclic and the too deep host bound them by their own
+    view = core.induced_on_mask(TALL_P_HOST, 0b011)
+    assert core.height(view, ("Ed",)) == 1
+    assert [len(p.domain) for p in PnFamily()(view)] == [1, 2, 3]
+    assert TALL_P_HOST.mask_index().heights == {("Ed",): 2}
+    fn_view = core.induced_on_mask(TALL_F_HOST, 0b11011)
+    assert [len(f.domain) - 2 for f in FnFamily()(fn_view)] == [1, 2, 3]
+    acyclic = core.induced_on_mask(CYCLIC_P_HOST, 0b1101)
+    assert [len(p.domain) for p in PnFamily()(acyclic)] == [1, 2]
+    assert CYCLIC_P_HOST.mask_index().heights == {("Ed",): None}
+    shallow = core.induced_on_mask(DEEP_G_HOST, 0b0111111)
+    assert len(list(GFamily()(shallow))) == len(GFamily().members_of_depth(4))
+    with pytest.raises(BudgetExceeded):
+        list(GFamily()(DEEP_G_HOST))
+    assert forbh_oracle(GFamily()).explain(shallow) == (
+        "member of size 4 maps in via {'blue': 'blue', 't': 'x0', 't0': 'x1', 't1': 'x1'}"
+    )
 
 
 RED_BLUE_NEIGHBOUR = Structure(
