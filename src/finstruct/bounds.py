@@ -138,6 +138,12 @@ class BoundsParams:
             raise StructureError("t must be >= 0")
         if r > n:
             raise StructureError("restriction arity exceeds the base order")
+        # n, r or t over BITS_LIMIT may overflow a float, so it is refused
+        # here, before any float math; ``_check_bits`` would refuse it too:
+        # q has over t bits, q^C(n,r) over n bits for r < n (C(n,r) >= n,
+        # q >= 2), the Bell triangle over n numbers for r = n, and r <= n
+        if max(n, r, t) > BITS_LIMIT:
+            raise BudgetExceeded(f"the threshold condition needs integers over {BITS_LIMIT} bits")
         self.r = r
         self.t = t
         self.n = n

@@ -4,7 +4,7 @@ Covers the linear-equation templates over finite Abelian groups and their
 binary-tree instances, the colored-path family with its source/target path
 class, the binary-tree family with leaf gluing, spans of embeddings
 (diagrams), and the glued blow-up construction, a mask over the union of
-all side copies whenever that union exists.
+all side copies.
 """
 
 from __future__ import annotations
@@ -535,32 +535,15 @@ def diagram_G(shape: TreeShape) -> Diagram:
 # ---------------------------------------------------------------------------
 # Glued blow-ups
 
-def _fresh_prefix(taken: Iterable[str], base: str) -> str:
-    taken = set(taken)
-    prefix = base
-    while any(x.startswith(prefix) for x in taken):
-        prefix = "g" + prefix
-    return prefix
-
-
-def _spot_parts(diagram: Diagram, spot: ElementMap, side: str, tag: str):
-    """Fresh elements and tuples of one side copy, glued at ``spot``.
-
-    Glued elements take their blow-up identifier through the spot; fresh
-    ones are renamed ``tag + x``.  Identifiers are final.
-    """
-    structure = diagram.left if side == "L" else diagram.right
-    emb = diagram.left_emb if side == "L" else diagram.right_emb
-    rename = {x: tag + x for x in structure.domain}
-    glued = {emb[a]: spot[a] for a in diagram.base.domain}
-    fresh = [rename[x] for x in structure.domain if x not in glued]
-    rename.update(glued)
-    tuples = {
-        name: [tuple(rename[x] for x in t) for t in ts]
-        for name, ts in structure.relations_items()
-        if ts
-    }
-    return fresh, tuples
+def _right_quotes(diagram: Diagram) -> str:
+    """The shortest run r of ``'`` such that no r + x, for x a fresh
+    identifier of the right side, is a fresh identifier of the left side."""
+    left = diagram.left.domain_set - diagram.left_emb.image
+    right = diagram.right.domain_set - diagram.right_emb.image
+    quotes = ""
+    while any(quotes + x in left for x in right):
+        quotes += "'"
+    return quotes
 
 
 # Most elements plus tuples a glue skeleton may plan for its union of side
@@ -594,27 +577,28 @@ class _JCSkeleton:
     """The m-fold blow-up of a diagram's base with every side copy rendered.
 
     ``spots`` are the canonical embeddings of the base into the blow-up
-    ``j``, in their lexicographic order.  A fresh element x of the copy of
-    a side glued at spot k is named ``{prefix}{k}.x``.  The prefix is
-    fresh: it is ``g``, lengthened until no blow-up identifier starts with
-    it, so no fresh name equals a blow-up identifier; and k ends at the
-    first ``.``, so copies at different spots never share a name.  The two
-    copies at one spot share a name exactly when the sides share a fresh
-    identifier, as the two markings of one tree in ``diagram_lineq`` do.
+    ``j``, in their lexicographic order.  A fresh element x of the left
+    copy glued at spot k is named ``{prefix}{k}.x``, and one of the right
+    copy ``{prefix}{k}.{r}x``, where r is the shortest run of ``'`` such
+    that no r + x, for x a fresh identifier of the right side, is a fresh
+    identifier of the left side (``_right_quotes``).  The prefix is ``g``,
+    lengthened until no blow-up identifier starts with it.  No two copies
+    share a name, and no copy shares one with the blow-up:
+
+    - every fresh name starts with the prefix, and no blow-up identifier does;
+    - the prefix holds no ``.``, so k ends at the first one: spots differ;
+    - at one spot, ``{k}.x = {k}.{r}y`` needs x = r + y, which r rules out.
+
+    When the sides share no fresh identifier, as in F_n and G, r is empty;
+    the two markings of one tree in ``diagram_lineq`` share their inner
+    nodes, and r is ``'``.
 
     ``all`` is J_all: the blow-up glued with both side copies at every
-    spot, an ordinary structure checked once by ``Structure``.  It exists
-    only when no two copies share a name; otherwise it would merge the two
-    copies at a spot into elements carrying both copies' tuples, and
-    ``all`` is None.
-
-    ``copies`` maps each spot to the ``(L, R)`` pair of its two side
-    copies, and ``pairs`` lists the same pairs aligned with ``spots``, so
-    a coloring over ``spots`` itself finds them without hashing a spot.
-    Each copy is in one form.  With J_all a copy is the mask of its fresh
-    elements over J_all's sorted domain, and ``blowup`` the mask of the
-    blow-up's elements.  Without J_all a copy is its fresh names and
-    per-symbol tuples as ``_spot_parts`` renders them, and ``blowup`` is 0.
+    spot, an ordinary structure checked once by ``Structure``.  ``blowup``
+    is the mask of the blow-up's elements over J_all's sorted domain, and
+    ``copies`` maps each spot to the ``(L, R)`` masks of its two copies'
+    fresh elements; ``pairs`` lists the same pairs aligned with ``spots``,
+    so a coloring over ``spots`` itself finds them without hashing a spot.
     Nothing here depends on a coloring.  ``_skeleton_size`` is checked
     against ``SKELETON_LIMIT`` before any spot is built, and a larger
     skeleton raises ``BudgetExceeded``.
@@ -632,35 +616,31 @@ class _JCSkeleton:
         emb = morphisms.canonical_embeddings(diagram.base, m)
         self.j = emb.target
         self.spots = emb.members
-        prefix = _fresh_prefix(self.j.domain, "g")
-        self.copies = {
-            spot: tuple(_spot_parts(diagram, spot, side, f"{prefix}{k}.") for side in "LR")
-            for k, spot in enumerate(self.spots)
-        }
-        rendered = [copy for pair in self.copies.values() for copy in pair]
-        fresh = [x for names, _ in rendered for x in names]
-        self.all: Optional[Structure] = None
-        self.blowup = 0
-        if len(set(fresh)) == len(fresh):
-            self.all = _glue(diagram.base.signature, self.j, rendered)
-            bit = {x: 1 << i for i, x in enumerate(self.all.domain)}
-            self.blowup = sum(bit[x] for x in self.j.domain)
-            self.copies = {
-                spot: tuple(sum(bit[x] for x in names) for names, _ in pair)
-                for spot, pair in self.copies.items()
-            }
-        self.pairs = tuple(self.copies.values())
-
-
-def _glue(signature: Signature, j: Structure, copies: Iterable[tuple[list, dict]]) -> Structure:
-    """The blow-up ``j`` joined with rendered side copies, built and checked by ``Structure``."""
-    domain = list(j.domain)
-    rels = {name: set(ts) for name, ts in j.relations_items()}
-    for fresh, tuples in copies:
-        domain.extend(fresh)
-        for name, ts in tuples.items():
-            rels[name].update(ts)
-    return Structure(signature, domain, rels)
+        prefix = "g"
+        while any(x.startswith(prefix) for x in self.j.domain):
+            prefix += "g"
+        sides = (
+            (diagram.left, diagram.left_emb, ""),
+            (diagram.right, diagram.right_emb, _right_quotes(diagram)),
+        )
+        domain = list(self.j.domain)
+        rels = {name: set(ts) for name, ts in self.j.relations_items()}
+        fresh = []  # the fresh names of each copy, L then R at each spot
+        for k, spot in enumerate(self.spots):
+            for part, side_emb, quotes in sides:
+                glued = {side_emb[a]: spot[a] for a in diagram.base.domain}
+                name = {x: f"{prefix}{k}.{quotes}{x}" for x in part.domain if x not in glued}
+                fresh.append(list(name.values()))
+                domain.extend(fresh[-1])
+                name.update(glued)
+                for rel, ts in part.relations_items():
+                    rels[rel].update(tuple(map(name.__getitem__, t)) for t in ts)
+        self.all = Structure(diagram.base.signature, domain, rels)
+        bit = {x: 1 << i for i, x in enumerate(self.all.domain)}
+        self.blowup = sum(map(bit.__getitem__, self.j.domain))
+        masks = [sum(map(bit.__getitem__, names)) for names in fresh]
+        self.pairs = tuple(zip(masks[::2], masks[1::2]))
+        self.copies = dict(zip(self.spots, self.pairs))
 
 
 def build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
@@ -672,20 +652,18 @@ def build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
     from ``pairs`` by position; any other looks each spot up in ``copies``.
     The blow-up stays an induced substructure, so each spot, read with the
     glued domain as target, is the lifted embedding of the base.  Fresh
-    copies are named by their spot's index in the lexicographic spot order.
+    copies are named as in ``_JCSkeleton``.
 
-    When the skeleton has J_all, J_C is J_all induced on ``alive``, the
-    blow-up and the fresh elements of the chosen copies.  Every tuple of
-    J_C is in J_all and inside ``alive``.  Conversely, no two copies share
-    a name in J_all, and every tuple of J_all comes from the blow-up or
-    from one copy, so none joins fresh elements of two copies.  A tuple of
-    J_all inside ``alive`` is thus a blow-up tuple, a chosen copy's, or an
-    unchosen copy's among glued elements only.  The last is the image of a
-    base tuple, since the side map is an embedding, carried by the spot
-    into the blow-up, which holds it already.  So ``core.induced_on_mask``
-    gives J_C, its tuples derived from J_all, which was checked when the
-    skeleton was built.  Without J_all, J_C is built and checked as a
-    structure of its own.
+    J_C is J_all induced on ``alive``, the blow-up and the fresh elements
+    of the chosen copies.  Every tuple of J_C is in J_all and inside
+    ``alive``.  Conversely, every tuple of J_all comes from the blow-up or
+    from one copy, and no two copies share a name, so none joins fresh
+    elements of two copies.  A tuple of J_all inside ``alive`` is thus a
+    blow-up tuple, a chosen copy's, or an unchosen copy's among glued
+    elements only.  The last is the image of a base tuple, since the side
+    map is an embedding, carried by the spot into the blow-up, which holds
+    it already.  So ``core.induced_on_mask`` gives J_C, its tuples derived
+    from J_all, which was checked when the skeleton was built.
     """
     skeleton = diagram.skeleton(m)
     pairs = skeleton.pairs
@@ -694,12 +672,9 @@ def build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
             pairs = [skeleton.copies[spot] for spot in coloring.spots]
         except KeyError:
             raise StructureError("coloring mentions a spot outside the canonical embeddings") from None
-    pieces = [pair[side == "R"] for pair, side in zip(pairs, coloring.sides)]
-    if skeleton.all is None:
-        return _glue(diagram.base.signature, skeleton.j, pieces)
     alive = skeleton.blowup
-    for mask in pieces:
-        alive |= mask
+    for pair, side in zip(pairs, coloring.sides):
+        alive |= pair[side == "R"]
     return core.induced_on_mask(skeleton.all, alive)
 
 

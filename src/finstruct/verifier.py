@@ -7,10 +7,10 @@ failure for every amalgam at once.  An oracle defines only the evidence
 that a structure is no member, and decides and explains from it once.
 Confusion sweeps iterate colorings of the canonical blow-up embeddings,
 glue, and test membership, optionally across worker processes in one
-contiguous share of colorings per worker.  A glued J_C is a mask over the
-skeleton's J_all.  Any structure is tested against the images of the
-family members in its host, found by one search per member and kept for
-that host alone.
+contiguous share of colorings per worker.  Every glued J_C, whatever the
+diagram, is a mask over the skeleton's J_all.  A Forb_h oracle tests any
+structure against the images of the family members in its host, found by
+one search per member and kept for that host alone.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class _ForbhMembership(ClassOracle):
     """No family member maps homomorphically into the input.
 
     Every input is answered from its host's images: a view (as ``build_JC``
-    returns when the glue skeleton has J_all) is its host and its mask, and
+    returns, over the glue skeleton's J_all) is its host and its mask, and
     any other structure is its own host with the full mask.  A homomorphism
     into an induced substructure is exactly a homomorphism into the whole
     structure whose image lies inside it (Hell & Nešetřil, *Graphs and

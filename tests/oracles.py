@@ -14,8 +14,8 @@ loop without its shortcuts, which ``_Fixpoint.run`` must match deletion for
 deletion, with every reason recorded (it borrows the fixpoint's tables and
 masks, but lists supersets on its own, with ``plain_supersets``);
 ``reference_build_JC``, the glued structure rebuilt as a union and checked
-through ``Structure``; and ``reference_height``, the topological sweep for
-the longest walk.
+through ``Structure``, its copies named by the rule it states itself; and
+``reference_height``, the topological sweep for the longest walk.
 """
 
 from __future__ import annotations
@@ -27,14 +27,7 @@ from hypothesis import strategies as st
 
 from finstruct.consistency import _bits
 from finstruct.core import ElementMap, Signature, Structure
-from finstruct.families import (
-    AbelianGroup,
-    Coloring,
-    Diagram,
-    TreeShape,
-    _fresh_prefix,
-    _spot_parts,
-)
+from finstruct.families import AbelianGroup, Coloring, Diagram, TreeShape
 from finstruct.morphisms import canonical_embeddings, check_partial_homomorphism
 
 MIXED = Signature([("U", 1), ("E", 2), ("T", 3)])
@@ -313,18 +306,35 @@ def reference_run(self) -> tuple[bool, dict[tuple[int, int], tuple]]:
 def reference_build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
     """The blow-up of the base joined with one side copy per colored spot,
     as the union of their tuple sets, built and checked by ``Structure``.
-    Copies are rendered and named as in the glue skeleton."""
+
+    The naming rule is stated here on its own.  The prefix is the shortest
+    run of ``g`` that starts no blow-up identifier.  A fresh element x of
+    the copy at spot k (in the lexicographic spot order) is ``{prefix}{k}.x``
+    on the left and ``{prefix}{k}.{r}x`` on the right, r the fewest quotes
+    with r + y no fresh left identifier for any fresh right identifier y."""
     embeddings = canonical_embeddings(diagram.base, m)
     blowup = embeddings.target
     spot_index = {spot: k for k, spot in enumerate(embeddings.members)}
-    prefix = _fresh_prefix(blowup.domain, "g")
+    prefix = "g"
+    while any(x.startswith(prefix) for x in blowup.domain):
+        prefix += "g"
+    left_fresh = set(diagram.left.domain) - set(diagram.left_emb.assignment.values())
+    right_fresh = set(diagram.right.domain) - set(diagram.right_emb.assignment.values())
+    quotes = ""
+    while left_fresh & {quotes + y for y in right_fresh}:
+        quotes += "'"
     domain = list(blowup.domain)
     rels = {name: set(ts) for name, ts in blowup.relations_items()}
     for spot, side in zip(coloring.spots, coloring.sides):
-        fresh, tuples = _spot_parts(diagram, spot, side, f"{prefix}{spot_index[spot]}.")
-        domain.extend(fresh)
-        for name, ts in tuples.items():
-            rels[name].update(ts)
+        if side == "L":
+            part, emb, tag = diagram.left, diagram.left_emb, f"{prefix}{spot_index[spot]}."
+        else:
+            part, emb, tag = diagram.right, diagram.right_emb, f"{prefix}{spot_index[spot]}.{quotes}"
+        name = {x: tag + x for x in part.domain}
+        name.update({emb[a]: spot[a] for a in diagram.base.domain})
+        domain.extend(name.values())
+        for rel, ts in part.relations_items():
+            rels[rel].update(tuple(map(name.__getitem__, t)) for t in ts)
     return Structure(diagram.base.signature, domain, rels)
 
 

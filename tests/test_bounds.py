@@ -8,7 +8,9 @@ from math import log2
 import pytest
 
 from finstruct.bounds import (
+    BITS_LIMIT,
     BoundsParams,
+    _check_bits,
     _q_bits_floor,
     atomic_type_count,
     bell_number,
@@ -96,6 +98,30 @@ def test_everything_is_exact_int():
     for value in (report.q, report.spot_count, report.threshold):
         assert isinstance(value, int)
     assert report.spot_count == 1000**40
+
+
+def unchecked_params(r: int, t: int, n: int, m: int) -> BoundsParams:
+    """Parameters set without ``BoundsParams``' checks."""
+    params = BoundsParams.__new__(BoundsParams)
+    params.r, params.t, params.n, params.m = r, t, n, m
+    return params
+
+
+def test_params_over_bits_limit_are_refused_as_check_bits_would():
+    # each of n, r and t just over BITS_LIMIT, and far past a float's range
+    big = 10**400
+    over = BITS_LIMIT + 1
+    message = f"the threshold condition needs integers over {BITS_LIMIT} bits"
+    cases = [(1, 1, over), (over, 1, over), (1, over, 2), (2, 0, over)]
+    for r, t, n in cases + [(1, 1, big), (big, 1, big), (1, big, 2)]:
+        with pytest.raises(BudgetExceeded, match=message):
+            BoundsParams(r, t, n, 2)
+        if max(r, t, n) == over:
+            with pytest.raises(BudgetExceeded, match=message):
+                _check_bits(unchecked_params(r, t, n, 2))
+    with pytest.raises(BudgetExceeded, match=message):
+        minimal_m(big, 1, 1, cap=10**6)
+    BoundsParams(BITS_LIMIT, BITS_LIMIT, BITS_LIMIT, 2)  # the limit itself passes here
 
 
 def test_q_bits_floor_is_a_lower_bound():

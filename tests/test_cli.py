@@ -215,6 +215,15 @@ def test_bounds_refuses_q_too_long_to_print_at_once():
     assert_refused_at_once("bounds", "--n", "8", "--r", "6", "--t", "1", "--m", "2")
 
 
+@pytest.mark.parametrize("path", [("--m", "2"), ("--find-m",)], ids=["m", "find-m"])
+def test_bounds_refuses_parameters_too_large_for_a_float_at_once(path):
+    # 10^400 overflows a float; n and r both that large on the --m path,
+    # n alone on the --find-m path, which needs r < n
+    big = str(10**400)
+    r = big if path[0] == "--m" else "1"
+    assert_refused_at_once("bounds", "--n", big, "--r", r, "--t", "1", *path)
+
+
 def test_bounds_refuses_q_too_long_to_print_before_the_bell_triangle():
     # q = Bell(4001) is far over the printing limit, and its Bell triangle
     # takes 8 s or more to build, so a refusal within 3 s comes from the
