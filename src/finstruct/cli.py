@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from itertools import islice
 from typing import Optional
@@ -177,6 +176,12 @@ def _check_gen_size(size: int) -> None:
         raise BudgetExceeded(f"{size} elements and tuples exceed the gen limit of {GEN_LIMIT}")
 
 
+def _template(group: AbelianGroup) -> Structure:
+    # |G| + |G|^2 elements, their labels, 3 |G|^2 projections, |G| markers
+    _check_gen_size(5 * group.order**2 + 3 * group.order)
+    return families.build_template(group)
+
+
 def _cmd_gen(args) -> int:
     group = AbelianGroup.parse(args.group) if args.group else None
     if args.family == "fn":
@@ -216,9 +221,7 @@ def _cmd_gen(args) -> int:
     elif args.family == "template":
         if group is None:
             raise StructureError("gen template needs --group")
-        # |G| + |G|^2 elements, their labels, 3 |G|^2 projections, |G| markers
-        _check_gen_size(5 * group.order**2 + 3 * group.order)
-        doc = structure_to_doc(families.build_template(group))
+        doc = structure_to_doc(_template(group))
     else:
         raise StructureError(f"unknown family {args.family!r}")
     _write(args.output, dump_canonical(doc))
@@ -354,8 +357,7 @@ def _oracle_for(spec: str) -> verifier.ClassOracle:
             k, l = int(k_text), int(l_text)
         except ValueError:
             raise StructureError(f"bad class spec {spec!r}; expected lineq:<k>,<l>,<group>") from None
-        template = families.build_template(AbelianGroup.parse(group_text))
-        return verifier.consistency_oracle(template, k, l)
+        return verifier.consistency_oracle(_template(AbelianGroup.parse(group_text)), k, l)
     raise StructureError(f"unknown class {spec!r}")
 
 
@@ -401,13 +403,6 @@ def _cmd_export_dot(args) -> int:
     s = load_structure(args.structure)
     _write(args.output, structure_to_dot(s, tuple(args.symmetric)))
     return EXIT_OK
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; the CPU count where affinity is unknown."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _positive_int(text: str) -> int:
@@ -457,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     confuse.add_argument("--samples", type=int, default=0)
     confuse.add_argument("--seed", type=int, default=0)
     confuse.add_argument("--class", dest="cls", required=True, help="fn | g | lineq:<k>,<l>,<group>")
-    confuse.add_argument("--jobs", type=_positive_int, default=_usable_cpus())
+    confuse.add_argument("--jobs", type=_positive_int, default=verifier.usable_cpus())
     confuse.set_defaults(func=_cmd_confuse)
 
     bounds_p = sub.add_parser("bounds", help="threshold condition arithmetic")

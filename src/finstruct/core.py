@@ -285,10 +285,12 @@ class MaskIndex:
     masks the loops.  Wider relations stay tuple sets in ``wide``.
     ``heights`` keeps the host's own ``height`` per tuple of relation
     names, worked out on first use: the Forb_h families bound every view
-    of one host by it, so a sweep reads it once.
+    of one host by it, so a sweep reads it once.  ``images`` maps a Forb_h
+    family member to its image masks on the host, as the Forb_h oracle
+    finds them: one search per member serves every view of the host.
     """
 
-    __slots__ = ("unary", "succ", "pred", "diag", "wide", "heights")
+    __slots__ = ("unary", "succ", "pred", "diag", "wide", "heights", "images")
 
     def __init__(self, host: Structure):
         rank = {v: i for i, v in enumerate(host.domain)}
@@ -299,6 +301,7 @@ class MaskIndex:
         self.diag: dict[str, int] = {}
         self.wide: dict[str, frozenset[tuple[str, ...]]] = {}
         self.heights: dict[tuple[str, ...], Optional[int]] = {}
+        self.images: dict[Structure, tuple[int, ...]] = {}
         for name, ts in host.relations_items():
             arity = host.signature.arity(name)
             if arity == 1:

@@ -10,11 +10,12 @@ glue, and test membership, optionally across worker processes in one
 contiguous share of colorings per worker.  Every glued J_C, whatever the
 diagram, is a mask over the skeleton's J_all.  A Forb_h oracle tests any
 structure against the images of the family members in its host, found by
-one search per member and kept for that host alone.
+one search per member and kept on the host's index, not on the oracle.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Optional, Sequence
 
@@ -34,15 +35,18 @@ class ClassOracle:
 
     A subclass defines one hook, ``evidence(s)``: None for a member, else
     why ``s`` is no member.  ``member`` keeps the evidence, with the
-    structure it decided, in one memo that subclasses leave out of pickles,
-    and ``explain`` reads it back for that structure, so a sweep explaining
-    the coloring it has just failed decides it once.  Closure is the
-    contract of the type: a homomorphism from A' to a member A makes A' a
-    member.  Forb_h and the (k,l)-consistent instances of a template are
-    both closed so, and ``witnesses_failure`` relies on it.
+    structure it decided, in one memo that ``__getstate__`` leaves out of
+    pickles, and ``explain`` reads it back for that structure, so a sweep
+    explaining the coloring it has just failed decides it once.  Closure
+    is the contract of the type: a homomorphism from A' to a member A makes
+    A' a member.  Forb_h and the (k,l)-consistent instances of a template
+    are both closed so, and ``witnesses_failure`` relies on it.
     """
 
     _last: tuple[Optional[Structure], Optional[str]] = (None, None)
+
+    def __getstate__(self):
+        return {key: value for key, value in vars(self).items() if key != "_last"}
 
     def evidence(self, s: Structure) -> Optional[str]:
         raise NotImplementedError
@@ -75,32 +79,22 @@ class _ForbhMembership(ClassOracle):
     it alone to name the map.  The images of each member are found by one
     search of the host, which visits every homomorphism where ``exists``
     stops at the first: a sweep gains once a few colorings share the host,
-    while a single structure pays more.  The memo holds one host at a time,
-    the one most recently asked about, and is left out of pickles, so each
-    worker rebuilds it from its own copy of the host.
+    while a single structure pays more.  They are kept in the host's
+    ``MaskIndex.images``, beside its heights, which pickles leave out, so
+    each worker rebuilds them from its own copy of the host.
     """
 
     def __init__(self, family):
         self.family = family
-        self._host: Optional[Structure] = None
-        self._images: dict[Structure, tuple[int, ...]] = {}  # per member, on _host
-
-    def __reduce__(self):
-        return (_ForbhMembership, (self.family,))
-
-    def _host_images(self, host: Structure, member: Structure) -> tuple[int, ...]:
-        if host is not self._host:
-            self._host = host
-            self._images = {}
-        images = self._images.get(member)
-        if images is None:
-            images = self._images[member] = tuple(HomomorphismSearcher(host).image_masks(member))
-        return images
 
     def evidence(self, s: Structure) -> Optional[str]:
         dead = ~s.alive
+        images = s.mask_index().images
         for member in self.family(s):
-            if any(not image & dead for image in self._host_images(s.host, member)):
+            found = images.get(member)
+            if found is None:
+                found = images[member] = tuple(HomomorphismSearcher(s.host).image_masks(member))
+            if any(not image & dead for image in found):
                 hom = HomomorphismSearcher(s).find(member)
                 return f"member of size {len(member.domain)} maps in via {dict(hom.items())}"
         return None
@@ -113,9 +107,6 @@ class _ConsistencyMembership(ClassOracle):
         self.template = template
         self.k = k
         self.l = l
-
-    def __reduce__(self):
-        return (_ConsistencyMembership, (self.template, self.k, self.l))
 
     def evidence(self, s: Structure) -> Optional[str]:
         if is_consistent(s, self.template, self.k, self.l):
@@ -189,6 +180,13 @@ class ConfusionReport:
         }
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on; the CPU count where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _test_colorings(
     diagram: Diagram,
     m: int,
@@ -239,18 +237,16 @@ def check_confusion(
     Exhaustive mode iterates all 2^(m^|A|) colorings and is refused beyond
     2^20 of them; sample mode draws ``samples`` seeded colorings, each as it
     is tested, and is refused beyond 2^20 samples.  Both refusals, and the
-    glue skeleton's own budget (``families.SKELETON_LIMIT``), come before
-    any spot is built or any encoding drawn.  The diagram must already
+    glue skeleton's own budget (``families.SKELETON_LIMIT``), come from the
+    arguments, before any structure is decided.  The diagram must then
     witness failure of amalgamation for the oracle.  The spots and the glue
     skeleton are the diagram's own (``Diagram.skeleton``), so worker
-    processes receive them with the pickled diagram.  With ``jobs`` above 1
-    the draw indices are cut into at most ``jobs`` contiguous ranges, in
-    order, and each share unpickles and searches J_all once.  Failures are
-    reported sorted by coloring encoding; the verdict is true when no
-    coloring left the class.
+    processes receive them with the pickled diagram.  The draw indices are
+    cut into at most min(``jobs``, ``usable_cpus()``) contiguous ranges, in
+    order, one per worker, and each share unpickles and searches J_all
+    once.  Failures are reported sorted by coloring encoding; the verdict
+    is true when no coloring left the class.
     """
-    if not witnesses_failure(diagram, oracle):
-        raise StructureError("diagram does not witness failure of amalgamation")
     if m < 1:
         raise StructureError("blow-up multiplicity must be >= 1")
     n_spots = m ** diagram.order
@@ -273,15 +269,18 @@ def check_confusion(
     else:
         raise StructureError(f"unknown mode {mode!r}")
     spots = diagram.skeleton(m).spots
+    if not witnesses_failure(diagram, oracle):
+        raise StructureError("diagram does not witness failure of amalgamation")
 
-    if jobs > 1 and len(draws) >= 4 * jobs:
-        chunk_size = -(-len(draws) // jobs)  # one share per worker
+    workers = min(jobs, usable_cpus())  # a pool forks every worker at once
+    if workers > 1 and len(draws) >= 4 * workers:
+        chunk_size = -(-len(draws) // workers)  # one share per worker
         chunks = [
             (diagram, m, oracle, sample_seed, draws[i : i + chunk_size])
             for i in range(0, len(draws), chunk_size)
         ]
         failures: list[tuple[int, Optional[str]]] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_confusion_chunk, chunks):
                 failures.extend(result)
     else:

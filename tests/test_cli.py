@@ -205,6 +205,16 @@ def test_confuse_refuses_oversize_sample_count_at_once(tmp_path):
     )
 
 
+def test_confuse_refuses_oversize_template_at_once(tmp_path):
+    # Z2000's template would hold 20 million elements and tuples: the size
+    # ``gen template`` refuses is refused before ``confuse`` builds it
+    diagram = tmp_path / "l2.json"
+    diagram.write_text(cli.dump_canonical(cli.diagram_to_doc(diagram_lineq(2, AbelianGroup([2])))))
+    assert_refused_at_once(
+        "confuse", "--diagram", str(diagram), "--m", "2", "--class", "lineq:2,3,2000", "--jobs", "1",
+    )
+
+
 def test_bounds_refuses_threshold_too_long_to_print_at_once():
     # the threshold has more decimal digits than ``str`` of an int may print
     assert_refused_at_once("bounds", "--n", "6", "--r", "5", "--t", "1", "--m", "2")

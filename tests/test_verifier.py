@@ -642,17 +642,33 @@ def test_failing_sweep_across_workers_matches_reference_build():
     assert list(two.failures) == reference_failures(d, 2, oracle) and len(two.failures) == count
 
 
-def test_forbh_memo_holds_one_host_outside_pickles():
+def test_forbh_images_live_on_each_host_outside_pickles(monkeypatch):
+    # each J_all keeps its members' images beside its heights, so a second
+    # sweep of F_3 after one of F_2 searches neither J_all again, and the
+    # oracle holds no host
+    searched = []
+    real_image_masks = morphisms.HomomorphismSearcher.image_masks
+
+    def image_masks(self, source):
+        searched.append(self.target)
+        return real_image_masks(self, source)
+
+    monkeypatch.setattr(morphisms.HomomorphismSearcher, "image_masks", image_masks)
     family = FixedMembers([RED_BLUE_NEIGHBOUR])
     oracle = forbh_oracle(family)
-    for d in (diagram_Fn(3), diagram_Fn(2)):
+    f3, f2 = diagram_Fn(3), diagram_Fn(2)
+    for d, searches in ((f3, 1), (f2, 1), (f3, 0)):
+        host = d.skeleton(2).all
+        searched.clear()
         report = check_confusion(d, 2, oracle, jobs=1)
-        # the second sweep replaces the first host and its images
-        assert oracle._host is d.skeleton(2).all and oracle._images
+        assert sum(target is host for target in searched) == searches
+        assert host.mask_index().images.keys() == {RED_BLUE_NEIGHBOUR}
         assert list(report.failures) == reference_failures(d, 2, oracle)
         assert len(pickle.dumps(oracle)) == len(pickle.dumps(forbh_oracle(family)))
-    again = pickle.loads(pickle.dumps(oracle))
-    assert again._host is None and not again._images
+    for d in (f3, f2):
+        host = d.skeleton(2).all
+        assert host.mask_index().images.keys() == {RED_BLUE_NEIGHBOUR}
+        assert pickle.loads(pickle.dumps(host)).mask_index().images == {}
 
 
 def test_failing_forbh_sweep_walks_the_family_once_per_decision(monkeypatch):
@@ -703,6 +719,8 @@ def test_fanout_cuts_at_most_one_contiguous_share_per_worker(monkeypatch):
             return map(fn, chunks)
 
     monkeypatch.setattr(verifier, "ProcessPoolExecutor", InProcessPool)
+    usable = 3
+    monkeypatch.setattr(verifier, "usable_cpus", lambda: usable)
     oracle = forbh_oracle(FnFamily())
     f3, f4 = diagram_Fn(3), diagram_Fn(4)
     n_spots = len(f4.skeleton(2).spots)
@@ -724,13 +742,35 @@ def test_fanout_cuts_at_most_one_contiguous_share_per_worker(monkeypatch):
     ]
     for d, mode, encodings in cases:
         one = check_confusion(d, 2, oracle, jobs=1, **mode).to_dict()
-        for jobs in (2, 3):
+        # a pool forks all its workers at once, so --jobs 16384 starts 3
+        for jobs in (2, 3, 16384):
             seen.clear()
             assert check_confusion(d, 2, oracle, jobs=jobs, **mode).to_dict() == one
             [(workers, shares)] = seen
-            assert workers == jobs and 1 < len(shares) <= jobs
+            assert workers == min(jobs, usable) and 1 < len(shares) <= workers
             assert all(type(share) is range for share in shares)
             assert [enc for share in shares for enc in decoded(share, mode)] == encodings
+
+
+@pytest.mark.parametrize(
+    "d, m, mode",
+    [
+        (diagram_Fn(3), 0, {}),
+        (diagram_Fn(3), 3, {}),  # 27 spots
+        (diagram_Fn(3), 2, {"mode": "sample", "samples": 0}),
+        (diagram_Fn(3), 2, {"mode": "sample", "samples": verifier.SAMPLE_LIMIT + 1}),
+        (diagram_Fn(3), 2, {"mode": "orbits"}),
+        (diagram_Fn(4), 30, {"mode": "sample", "samples": 1}),  # over SKELETON_LIMIT
+    ],
+    ids=["m=0", "spots", "no-samples", "samples", "mode", "skeleton"],
+)
+def test_check_confusion_refuses_from_the_arguments_before_deciding(monkeypatch, d, m, mode):
+    def decide(diagram, oracle):
+        raise AssertionError("a structure was decided before the arguments were checked")
+
+    monkeypatch.setattr(verifier, "witnesses_failure", decide)
+    with pytest.raises((StructureError, BudgetExceeded)):
+        check_confusion(d, m, forbh_oracle(FnFamily()), **mode)
 
 
 def test_sample_sweep_draws_each_encoding_as_it_tests_it(monkeypatch):
