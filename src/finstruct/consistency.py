@@ -11,6 +11,11 @@ death; every other reason is derived from the deletion order, and the
 reasons drive the extraction of a spoiler strategy tree for inconsistent
 instances.
 
+One memory budget, ``MEMORY_CAP``, bounds what the engine holds: its subset
+index, tables, masks and neighbour lists, counted from the arguments before
+any subset is listed; its deletion log, counted once the tables are built;
+and a trace's nodes, counted as each is made.
+
 Each subset's surviving assignments are one bit set: an assignment packs
 into an integer with one base-|B| digit per subset position, and is present
 while that bit of the subset's table is set.  Support checks, restriction
@@ -29,11 +34,9 @@ from typing import Optional
 from . import morphisms
 from .core import BudgetExceeded, ElementMap, SignatureMismatch, Structure, StructureError
 
-# subsets, and initial table entries, a fixpoint may hold; read when it refuses
-TABLE_CAP = 2_000_000
-# bytes the fixpoint may plan for its tables, support masks and proj lists
-# (see ``_Fixpoint``): a trace of lineq Z5 n=4 at (2,3) plans 14 MiB, and
-# Z5 n=2 at (2,4), refused, 639 MiB
+# bytes the (k,l) engine may hold (see ``_Fixpoint._check_memory``): at
+# (2,3) lineq Z3 n=16 counts 213 MiB with its trace and Z5 n=8 158 MiB
+# without one; Z5 n=2 at (2,4) is refused from the arguments
 MEMORY_CAP = 256 * 2**20
 
 
@@ -114,21 +117,18 @@ class _Fixpoint:
     between numbers and sorted element-index tuples.  An assignment on a
     subset is packed into an int, one base-|B| digit per subset position
     (position r weighs base**r).  Each subset's table is one int whose bit h
-    is set while packed assignment h survives.  ``TABLE_CAP`` caps the
-    number of subsets, counted before any is listed, and the initial
-    entries, counted while the tables are built.
+    is set while packed assignment h survives.
 
-    Before anything is allocated, the memory the run will hold is counted
-    against ``MEMORY_CAP``: a table of a size-s subset at its full base**s
-    bits (twice over when spoiler_trace keeps the tables from before the
-    fixpoint), each support mask at the base**s bits of the subset it is
-    read in, and each ``proj`` list entry at 8 bytes.  The masks and lists
-    counted are those ``run`` builds: the down patterns of every size and
-    the immediate-superset patterns.  A deletion is kept as the key
-    ``s_id * span + h`` with ``span = base**top``.  The count bounds both
-    the number of subsets and span by 8 x ``MEMORY_CAP`` bits, so every key
-    fits in a signed 64-bit integer; the key check is kept apart so that a
-    larger cap still cannot overflow the deletion array.
+    ``MEMORY_CAP`` is the one budget, and ``left`` is what is left of it.
+    It is counted in three places: from the arguments, before any subset
+    is listed (``_check_memory``); once, in one compare, right after the
+    tables are built, for the deletion log and the trace path's reason
+    maps; and in ``build_trace``, for each node as it is made.  A deletion
+    is kept as the key ``s_id * span + h`` with ``span = base**top``.  The
+    count bounds both the number of subsets and span by 8 x ``MEMORY_CAP``
+    bits, so every key fits in a signed 64-bit integer; the key check is
+    kept apart so that a larger cap still cannot overflow the deletion
+    array.
 
     ``_masks(size, positions)`` describes a subset X seen through its
     positions inside a size-element subset Y.  The mask of h, every
@@ -221,14 +221,10 @@ class _Fixpoint:
     def _subsets(self, trace: bool) -> None:
         n = len(self.a_ids)
         self.top = min(self.l, n)
-        # each subset takes at least an entry's memory: count them before listing
-        subsets = sum(comb(n, size) for size in range(self.top + 1))
-        if subsets > TABLE_CAP:
-            raise BudgetExceeded(
-                f"consistency table needs {subsets} subsets, over its {TABLE_CAP}-entry cap"
-            )
+        self.left = MEMORY_CAP
         self._check_memory(n, trace)
         self.span = self.base**self.top
+        subsets = sum(comb(n, size) for size in range(self.top + 1))
         if subsets * self.span > 2**63:
             raise BudgetExceeded("consistency table is too large to number its assignments")
         self.subset_elems: list[tuple[int, ...]] = []
@@ -237,35 +233,115 @@ class _Fixpoint:
             for elems in combinations(range(n), size):
                 self.subset_id[elems] = len(self.subset_elems)
                 self.subset_elems.append(elems)
-        self.table: list[int] = []
-        entries = 0
-        for elems in self.subset_elems:
-            self.table.append(self._initial_table(elems))
-            entries += self.table[-1].bit_count()
-            if entries > TABLE_CAP:
-                raise BudgetExceeded(f"consistency table exceeds its {TABLE_CAP}-entry cap")
+        self.table = [self._initial_table(elems) for elems in self.subset_elems]
+        # each initial entry dies at most once: 8 bytes for its key in
+        # ``deaths`` and 1 for its mark, and 1 more for the 1/16 an array
+        # over-allocates as it grows; on the trace path every entry below
+        # the top size takes at most one ``unsupported`` and one ``when``
+        # slot, each with a 32-byte key and value
+        need = 10 * sum(t.bit_count() for t in self.table)
+        if trace:
+            below = len(self.subset_elems) - comb(n, self.top)
+            need += 2 * (100 + 64) * sum(t.bit_count() for t in self.table[:below])
+        self._spend(need, "deletion log")
+
+    def _spend(self, need: int, what: str) -> None:
+        """Take need bytes from what is left of ``MEMORY_CAP``, or refuse."""
+        self.left -= need
+        if self.left < 0:
+            raise BudgetExceeded(
+                f"the consistency {what} would take the run over "
+                f"its {MEMORY_CAP >> 20} MiB memory cap"
+            )
 
     def _check_memory(self, n: int, trace: bool) -> None:
-        """Refuse a run whose tables, support masks and proj lists would
-        take more than ``MEMORY_CAP`` bytes, before any is built."""
-        base, k = self.base, self.k
-        bits = sum(comb(n, size) * base**size for size in range(self.top + 1))
-        if trace:
-            bits *= 2
-        entries = 0
-        for size in range(self.top + 1):
-            for sub_size in range(min(k, size - 1) + 1):
-                patterns = comb(size, sub_size)
-                bits += patterns * base**sub_size * base**size
-                entries += patterns * base**size
-            if size - 1 > k:  # immediate-superset patterns not counted above
-                entries += size * base**size
-        need = bits // 8 + 8 * entries
-        if need > MEMORY_CAP:
-            raise BudgetExceeded(
-                f"consistency tables and masks need about {need >> 20} MiB, "
-                f"over the {MEMORY_CAP >> 20} MiB cap"
-            )
+        """Count the bytes the run will hold from the arguments alone, and
+        refuse over ``MEMORY_CAP`` before any subset is listed.
+
+        Each figure is what ``tracemalloc`` reports for the object on 64-bit
+        CPython 3.11, read off ``sys.getsizeof`` and, for the growth of a
+        container, the peak of building it under ``tracemalloc``:
+
+        - an int of b bits, 28 + 4 (b // 30) (30-bit digits after a 24-byte
+          head): 32 for an id, int(b) below;
+        - a tuple of t items, 40 + 8 t;
+        - a list slot 9 (8, and a list grown by appends over-allocates by
+          1/8), after a 56-byte head;
+        - a dict slot 100, besides its key and value: building dicts of
+          1,000 to 350,000 int -> int entries peaked at 154 bytes an entry,
+          56 of them the two ints (the 24-byte entry and its index at 2/3
+          load, with the old and the new table alive through a resize).
+
+        The subsets are counted size by size, smallest first, and compared
+        after each size, so an oversize l is refused after a few sizes and
+        before any mask is counted.  A subset of size s takes, with
+        P = base**s, D its down patterns and R the immediate supersets
+        ``run`` lists for it (n - s below the top size, else none):
+
+        - its tuple 40 + 8 s, its ``subset_elems`` slot 9, its ``subset_id``
+          slot 100 with its id 32, its table slot 9 and its table int(P),
+          twice on the trace path, where ``spoiler_trace`` keeps the tables
+          from before the fixpoint, with 8 for its slot in that list;
+        - the larger of its ``neighbours`` entry, a slot 8, a 3-tuple 64,
+          its up list 56 + 81 R (a 4-tuple and a slot each) and its
+          down-subset ids 40 + 8 D, and 162 for the initial pass's
+          superset lists.  The empty subset's list holds every other
+          subset at 81 each and is alive with the next one's, which holds
+          fewer; both are gone before ``run`` makes its first entry.
+
+        Then the masks of each size s, over every position pattern of j of
+        its positions, with V = base**j values on them:
+
+        - its ``mask_memo`` entry: a slot 100, the key and positions
+          tuples 56 + 40 + 8 j, the value 3-tuple 64, ``free`` int(P),
+          ``stems`` 56 + V (9 + 32 or more for each position below P) and
+          ``proj`` 56 + 9 P, with one int(V) more per entry once V is
+          over 257, past the ints CPython shares;
+        - for a down pattern, its support masks 56 + V (9 + int(P)), its
+          3-tuple 64 and positions tuple 40 + 8 j in ``checks``, and s + 2
+          slots in its size's pick lists;
+        - per relation of arity r, each instance tuple mask: a slot 100,
+          its key 64 + 40 + 8 r and int(P), for at most min(s**r, 2**s x
+          the relation's tuples) distinct placements;
+        - its pick lists, ``downs`` and ``full``, their pair and the
+          ``checks`` slot, 56 (s + 5);
+        - and last, four transient ints of the top size, the operands and
+          result of the largest AND or XOR, and ``tuples_by_least``: 56 per
+          instance element and a pair and slot 65 per instance tuple.
+        """
+        base, k, top = self.base, self.k, self.top
+
+        def int_bytes(bits: int) -> int:
+            return 28 + 4 * (bits // 30)
+
+        for size in range(top + 1):
+            ups = n - size if size < top else 0
+            downs = sum(comb(size, j) for j in range(min(k, size - 1) + 1))
+            table = int_bytes(base**size)
+            if trace:
+                table = 2 * table + 8
+            lists = max(8 + 64 + 56 + 81 * ups + 40 + 8 * downs, 2 * 81)
+            subset = 40 + 8 * size + 9 + 132 + 9 + table + lists
+            self._spend(comb(n, size) * subset, "subsets and tables")
+        tuples = sum(len(self.a.positions(name)) for name in self.a.signature.names)
+        need = 4 * int_bytes(base**top) + 56 * n + 65 * tuples
+        for size in range(top + 1):
+            need += 56 * (size + 5)
+            assignments = base**size
+            table = int_bytes(assignments)
+            position = int_bytes(assignments.bit_length())
+            for j in range(size + 1):
+                values = base**j
+                proj = 9 + (int_bytes(values.bit_length()) if values > 257 else 0)
+                pattern = 100 + 96 + 8 * j + 64 + table + 56 + values * (9 + position)
+                pattern += 56 + assignments * proj
+                if j <= min(k, size - 1):
+                    pattern += 56 + values * (9 + table) + 104 + 8 * j + 9 * (size + 2)
+                need += comb(size, j) * pattern
+            for name, arity in self.a.signature.symbols:
+                placements = min(size**arity, len(self.a.positions(name)) << size)
+                need += placements * (204 + 8 * arity + table)
+        self._spend(need, "masks")
 
     def _masks(self, size: int, positions: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
         """``(free, stems, proj)`` for ascending positions in a size-element subset."""
@@ -388,7 +464,7 @@ class _Fixpoint:
             checks.append((downs, picks + [full]))
         # per popped subset: its immediate supersets with their masks, its
         # down-subsets' ids in ``downs`` order, and its size's checks
-        neighbours: dict[int, tuple[list, tuple[int, ...], list]] = {}
+        neighbours: list[Optional[tuple[list, tuple[int, ...], list]]] = [None] * len(table)
         # array iterators read the current length at every step, so they also
         # yield the keys and marks appended below: a FIFO queue.  Subset 0 is
         # the empty one; its table is 1 until the empty assignment dies
@@ -396,7 +472,7 @@ class _Fixpoint:
             if not table[0]:
                 break
             y_id, g = divmod(key, span)
-            near = neighbours.get(y_id)
+            near = neighbours[y_id]
             if near is None:
                 y_elems = subset_elems[y_id]
                 size = len(y_elems)
@@ -501,10 +577,21 @@ class _Fixpoint:
 
     def build_trace(self, initial: list[int]) -> GameTrace:
         """The spoiler strategy read off the deletion reasons; ``initial`` is
-        the tables from before ``run``, whose entries are all the replies."""
+        the tables from before ``run``, whose entries are all the replies.
+
+        Each node is counted against what is left of ``MEMORY_CAP`` as it is
+        made: once its replies are known, so its children's frames, still
+        being made, are counted already.  A node takes its slots 72, three
+        name tuples, its ``memo`` slot 100 with its key 32, and 320 for its
+        frame's ``_bits`` generator, reply list and children tuple heads;
+        each reply a pair 56, its values tuple and two slots 17.
+        """
         memo: dict[int, TraceNode] = {}
         reason_of = self.reasons()
         span = self.span
+        names = 40 + 8 * self.top  # a tuple of at most top names
+        node_bytes = 72 + 3 * names + 132 + 320
+        reply_bytes = 56 + names + 17
 
         def node_for(s_id: int, h: int) -> TraceNode:
             key = s_id * span + h
@@ -517,13 +604,16 @@ class _Fixpoint:
                 y_id = reason[1]
                 x_elems, y_elems = self.subset_elems[s_id], self.subset_elems[y_id]
                 free, stems, _ = self._masks(len(y_elems), tuple(map(y_elems.index, x_elems)))
+                replies = initial[y_id] & free << stems[h]
+                self._spend(node_bytes + replies.bit_count() * reply_bytes, "trace")
                 children = []
-                for g in _bits(initial[y_id] & free << stems[h]):
+                for g in _bits(replies):
                     _, g_values = self.decode(y_id, g)
                     children.append((g_values, node_for(y_id, g)))
                 target = tuple(self.a_ids[e] for e in y_elems)
                 node = TraceNode(pebbles, values, "extend", target, tuple(children))
             else:  # restriction death: retract to the dead sub-assignment
+                self._spend(node_bytes + reply_bytes, "trace")
                 x_sub_id, h_sub = reason[1], reason[2]
                 sub_pebbles, sub_values = self.decode(x_sub_id, h_sub)
                 child = node_for(x_sub_id, h_sub)

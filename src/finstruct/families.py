@@ -555,22 +555,39 @@ def _right_quotes(diagram: Diagram) -> str:
 SKELETON_LIMIT = 1 << 18
 
 
+def capped_power(m: int, e: int, cap: int) -> int:
+    """m**e for m >= 0, or cap + 1 when that is larger.
+
+    Read from bit lengths first: for m >= 2, m**e is at least
+    2**((m.bit_length() - 1) e), and below 2**(2 (m.bit_length() - 1) e), so
+    no power of more than 2 cap.bit_length() bits is ever raised.
+    """
+    if m > 1 and (m.bit_length() - 1) * e > cap.bit_length():
+        return cap + 1
+    return min(m**e, cap + 1)
+
+
 def _skeleton_size(diagram: Diagram, m: int) -> int:
-    """Elements plus tuples of the m-fold skeleton's union of side copies, bounded above.
+    """Elements plus tuples of the m-fold skeleton's union of side copies,
+    bounded above; any count over ``SKELETON_LIMIT`` stands for all larger.
 
     Counted from the diagram alone: the blow-up has m elements per base
     element and m^r tuples per base tuple of arity r, and each of the m^|A|
-    spots adds at most one copy of each side, elements and tuples.
+    spots adds at most one copy of each side, elements and tuples.  Each
+    power of m is capped just over the limit (``capped_power``), so a huge m
+    is refused without being raised to any power: a capped power times a
+    count of at least 1 is over the limit alone, and times 0 is exact.
     """
     base = diagram.base
     blown = m * len(base.domain) + sum(
-        m ** base.signature.arity(name) * len(ts) for name, ts in base.relations_items()
+        capped_power(m, base.signature.arity(name), SKELETON_LIMIT) * len(ts)
+        for name, ts in base.relations_items()
     )
     sides = sum(
         len(part.domain) + sum(len(ts) for _, ts in part.relations_items())
         for part in (diagram.left, diagram.right)
     )
-    return blown + m ** len(base.domain) * sides
+    return blown + capped_power(m, len(base.domain), SKELETON_LIMIT) * sides
 
 
 class _JCSkeleton:
@@ -610,8 +627,7 @@ class _JCSkeleton:
         size = _skeleton_size(diagram, m)
         if size > SKELETON_LIMIT:
             raise BudgetExceeded(
-                f"glue skeleton at m={m} plans {size} elements and tuples, "
-                f"over the limit of {SKELETON_LIMIT}"
+                f"the m-fold glue skeleton plans over {SKELETON_LIMIT} elements and tuples"
             )
         emb = morphisms.canonical_embeddings(diagram.base, m)
         self.j = emb.target
@@ -682,7 +698,6 @@ def build_JC(diagram: Diagram, m: int, coloring: Coloring) -> Structure:
 # Source-to-target paths and their reachability split
 
 P_SIGNATURE = Signature([("Ed", 2), ("S", 1), ("T", 1)])
-P_IO_SIGNATURE = P_SIGNATURE.extended([("I", 1), ("O", 1)])
 
 
 def gen_Pn(n: int) -> Structure:

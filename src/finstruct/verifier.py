@@ -238,22 +238,24 @@ def check_confusion(
     2^20 of them; sample mode draws ``samples`` seeded colorings, each as it
     is tested, and is refused beyond 2^20 samples.  Both refusals, and the
     glue skeleton's own budget (``families.SKELETON_LIMIT``), come from the
-    arguments, before any structure is decided.  The diagram must then
-    witness failure of amalgamation for the oracle.  The spots and the glue
-    skeleton are the diagram's own (``Diagram.skeleton``), so worker
-    processes receive them with the pickled diagram.  The draw indices are
-    cut into at most min(``jobs``, ``usable_cpus()``) contiguous ranges, in
-    order, one per worker, and each share unpickles and searches J_all
-    once.  Failures are reported sorted by coloring encoding; the verdict
-    is true when no coloring left the class.
+    arguments, before any structure is decided, and read m^|A| through
+    ``families.capped_power``, so a huge m is never raised to a power.  The
+    diagram must then witness failure of amalgamation for the oracle.  The
+    spots and the glue skeleton are the diagram's own (``Diagram.skeleton``),
+    so worker processes receive them with the pickled diagram.  The draw
+    indices are cut into at most min(``jobs``, ``usable_cpus()``) contiguous
+    ranges, in order, one per worker, and each share unpickles and searches
+    J_all once.  Failures are reported sorted by coloring encoding; the
+    verdict is true when no coloring left the class.
     """
     if m < 1:
         raise StructureError("blow-up multiplicity must be >= 1")
-    n_spots = m ** diagram.order
     if mode == "exhaustive":
+        n_spots = families.capped_power(m, diagram.order, EXHAUSTIVE_SPOT_LIMIT)
         if n_spots > EXHAUSTIVE_SPOT_LIMIT:
             raise BudgetExceeded(
-                f"exhaustive sweep over {n_spots} spots exceeds 2^{EXHAUSTIVE_SPOT_LIMIT} colorings"
+                f"exhaustive sweep over more than {EXHAUSTIVE_SPOT_LIMIT} spots "
+                f"exceeds 2^{EXHAUSTIVE_SPOT_LIMIT} colorings"
             )
         mode_doc = {"kind": "exhaustive"}
         draws, sample_seed = range(1 << n_spots), None
@@ -284,7 +286,7 @@ def check_confusion(
             for result in pool.map(_confusion_chunk, chunks):
                 failures.extend(result)
     else:
-        encodings = _encodings(draws, sample_seed, n_spots)
+        encodings = _encodings(draws, sample_seed, len(spots))
         failures = _test_colorings(diagram, m, oracle, spots, encodings)
     failures.sort(key=lambda fail: fail[0])
     return ConfusionReport(diagram, m, mode_doc, len(draws), tuple(failures))

@@ -185,6 +185,47 @@ def test_consist_refuses_oversize_masks_at_once(tmp_path):
     assert_consist_refused_at_once(tmp_path, 2, AbelianGroup([5]), 4)
 
 
+def assert_refused_within_a_second(capsys, *argv: str) -> None:
+    """The CLI, in this process, exits 2 with one error line within 1 s."""
+    start = time.monotonic()
+    code = cli.main(list(argv))
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert elapsed < 1
+
+
+def test_consist_refuses_huge_l_within_a_second(tmp_path, capsys):
+    # the marked n=16 instance has 46 elements: the subset count alone is
+    # over the memory budget a few sizes in, before any mask is counted
+    marked, template = str(tmp_path / "m.json"), str(tmp_path / "t.json")
+    run(capsys, "gen", "lineq", "--n", "16", "--group", "2", "--mark", "1", "-o", marked)
+    run(capsys, "gen", "template", "--group", "2", "-o", template)
+    assert_refused_within_a_second(capsys, "consist", marked, template, "--k", "2", "--l", "100000")
+
+
+@pytest.mark.parametrize(
+    "n, m, mode",
+    [
+        (4, "1" + "0" * 1100, "exhaustive"),
+        (4, "1" + "0" * 1100, "sample"),
+        (2000, "9" * 4299, "exhaustive"),
+        (2000, "9" * 4299, "sample"),
+    ],
+    ids=["F4-exhaustive", "F4-sample", "F2000-exhaustive", "F2000-sample"],
+)
+def test_confuse_refuses_huge_m_within_a_second(tmp_path, capsys, n, m, mode):
+    # m^|A| is refused from bit lengths: it is never raised, nor printed
+    diagram = str(tmp_path / "d.json")
+    run(capsys, "gen", "fn", "--n", str(n), "--diagram", "-o", diagram)
+    assert_refused_within_a_second(
+        capsys, "confuse", "--diagram", diagram, "--m", m, "--mode", mode, "--samples", "1",
+        "--class", "fn", "--jobs", "1",
+    )
+
+
 def test_confuse_refuses_oversize_skeleton_at_once(tmp_path):
     # F_4 at m=30 has 810,000 spots; the skeleton would plan over 30 million
     # elements and tuples

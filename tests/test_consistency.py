@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -295,9 +296,56 @@ def test_inverse_hom_transfer_rejects_non_hom():
 
 
 def test_budget_guard(monkeypatch):
-    monkeypatch.setattr(consistency, "TABLE_CAP", 100)
+    monkeypatch.setattr(consistency, "MEMORY_CAP", 100_000)
     with pytest.raises(BudgetExceeded):
         kl_family(lineq_amalgam(4), T2, 2, 3)
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize(
+    "n, group", [(2, Z2), (4, Z2), (8, Z2), (4, AbelianGroup([3]))], ids=["Z2-2", "Z2-4", "Z2-8", "Z3-4"]
+)
+def test_counted_bytes_bound_the_engine_peak(n, group, trace):
+    # the budget's count, from the arguments, the tables and the trace's
+    # nodes, is at least what the engine holds at its peak
+    a, b = lineq_amalgam(n, group), build_template(group)
+    spoiler_trace(a, b, 2, 3)  # index both structures' relations first
+    tracemalloc.start()
+    try:
+        fix = consistency._Fixpoint(a, b, 2, 3, trace=trace)
+        initial = list(fix.table)
+        if not fix.run() and trace:
+            fix.build_trace(initial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert consistency.MEMORY_CAP - fix.left >= peak
+
+
+def test_each_count_refuses_where_it_is_made(monkeypatch):
+    # the arguments' count refuses before the tables, the deletion log's
+    # right after them, and the trace's nodes after the fixpoint
+    a = lineq_amalgam(4)
+    fix = consistency._Fixpoint(a, T2, 2, 3, trace=True)
+    logged = consistency.MEMORY_CAP - fix.left
+    initial = list(fix.table)
+    assert not fix.run()
+    fix.build_trace(initial)
+    total = consistency.MEMORY_CAP - fix.left
+    monkeypatch.setattr(consistency, "MEMORY_CAP", total)
+    assert spoiler_trace(a, T2, 2, 3) is not None
+    for cap, stage in [(total - 1, "trace"), (logged - 1, "deletion log"), (100_000, "subsets")]:
+        monkeypatch.setattr(consistency, "MEMORY_CAP", cap)
+        with pytest.raises(BudgetExceeded, match=stage):
+            spoiler_trace(a, T2, 2, 3)
+
+
+def test_spoiler_trace_on_a_large_lineq_amalgam():
+    # Z2xZ2 n=8 holds 3.7 million initial entries at (2,3)
+    z22 = AbelianGroup([2, 2])
+    a, b = lineq_amalgam(8, z22), build_template(z22)
+    trace = spoiler_trace(a, b, 2, 3)
+    assert trace is not None and validate_trace(trace, a, b, 2, 3)
 
 
 UNARY = tuple(name for name, arity in T2.signature.symbols if arity == 1)
