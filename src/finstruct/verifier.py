@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import core, families, morphisms
 from .consistency import is_consistent
 from .core import BudgetExceeded, ElementMap, Structure, StructureError, pullback
 from .families import Coloring, Diagram, build_JC
 from .morphisms import HomomorphismSearcher
-from .rng import SplitMix64
+from .rng import _PASS, SplitMix64
 
 EXHAUSTIVE_SPOT_LIMIT = 20
 SAMPLE_LIMIT = 1 << EXHAUSTIVE_SPOT_LIMIT  # as many colorings as exhaustive mode allows
@@ -204,17 +204,33 @@ def _test_colorings(
 
 
 def _encodings(draws: range, seed: Optional[int], n_spots: int) -> Iterable[int]:
-    """The encodings of one share of draw indices, drawn as they are read.
+    """The encodings of one share of draw indices, drawn one pass ahead.
 
     An exhaustive share (``seed`` None) is its own encodings.  A sample share
     seeks to its first draw: ``next_bits`` reads one word per bit, so draw j
-    starts j * n_spots words into the seeded stream.
+    starts j * n_spots words into the seeded stream.  It then draws
+    max(1, _PASS // n_spots) encodings with one ``next_bits`` call, at most
+    one kernel pass of words unless one encoding is longer, and cuts them
+    apart: bit i of ``next_bits(a * n)`` is bit 0 of the i-th word, so
+    encoding j of a block is the j-th ``next_bits(n)``.  No block is drawn
+    before the last one's encodings were read.
     """
     if seed is None:
         return draws
+    return _drawn(draws, seed, n_spots)
+
+
+def _drawn(draws: range, seed: int, n_spots: int) -> Iterator[int]:
     rng = SplitMix64(seed)
     rng.skip(draws.start * n_spots)
-    return (rng.next_bits(n_spots) for _ in draws)
+    take = max(1, _PASS // n_spots)
+    mask = (1 << n_spots) - 1
+    for first in range(0, len(draws), take):
+        block = min(take, len(draws) - first)
+        bits = rng.next_bits(block * n_spots)
+        for _ in range(block):
+            yield bits & mask
+            bits >>= n_spots
 
 
 def _confusion_chunk(args) -> list[tuple[int, Optional[str]]]:
@@ -235,8 +251,9 @@ def check_confusion(
     """Sweep colorings of the canonical embeddings and test glued membership.
 
     Exhaustive mode iterates all 2^(m^|A|) colorings and is refused beyond
-    2^20 of them; sample mode draws ``samples`` seeded colorings, each as it
-    is tested, and is refused beyond 2^20 samples.  Both refusals, and the
+    2^20 of them; sample mode draws ``samples`` seeded colorings, at most
+    one pass of ``next_bits`` words ahead of the one tested (``_encodings``),
+    and is refused beyond 2^20 samples.  Both refusals, and the
     glue skeleton's own budget (``families.SKELETON_LIMIT``), come from the
     arguments, before any structure is decided, and read m^|A| through
     ``families.capped_power``, so a huge m is never raised to a power.  The
@@ -324,7 +341,7 @@ def random_expansion(s: Structure, spec: ExpansionSpec) -> Structure:
     drawn from the seeded splitmix stream; identical seeds give identical
     expansions.
     """
-    from itertools import product
+    from itertools import compress, product
 
     rng = SplitMix64(spec.seed)
     extra: list[tuple[str, int]] = []
@@ -335,10 +352,10 @@ def random_expansion(s: Structure, spec: ExpansionSpec) -> Structure:
             name += "_"
         arity = ((j - 1) % spec.r) + 1
         extra.append((name, arity))
-        chosen = {
-            t for t in product(s.domain, repeat=arity) if rng.next_bit()
-        }
-        tuples[name] = chosen
+        # bit i decides the i-th candidate tuple, as one next_bit() each did
+        count = len(s.domain) ** arity
+        flags = format(rng.next_bits(count), "b").zfill(count)[::-1]
+        tuples[name] = set(compress(product(s.domain, repeat=arity), map(int, flags)))
     return core.add_symbols(s, extra, tuples)
 
 

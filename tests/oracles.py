@@ -14,8 +14,10 @@ loop without its shortcuts, which ``_Fixpoint.run`` must match deletion for
 deletion, with every reason recorded (it borrows the fixpoint's tables and
 masks, but lists supersets on its own, with ``plain_supersets``);
 ``reference_build_JC``, the glued structure rebuilt as a union and checked
-through ``Structure``, its copies named by the rule it states itself; and
-``reference_height``, the topological sweep for the longest walk.
+through ``Structure``, its copies named by the rule it states itself;
+``reference_height``, the topological sweep for the longest walk; and
+``reference_next_bits``, the one-word-per-bit loop that
+``SplitMix64.next_bits`` computes lane-parallel.
 """
 
 from __future__ import annotations
@@ -370,3 +372,11 @@ def reference_height(s: Structure, names) -> int | None:
     if done < len(s.domain):
         return None
     return max(level.values(), default=0)
+
+
+def reference_next_bits(rng, count: int) -> int:
+    """An integer whose bit i is the i-th ``next_bit`` of rng (one word per bit)."""
+    out = 0
+    for i in range(count):
+        out |= rng.next_bit() << i
+    return out

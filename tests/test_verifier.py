@@ -38,7 +38,7 @@ from finstruct.families import (
 )
 from finstruct.morphisms import canonical_embeddings, find_homomorphism
 from finstruct.rng import SplitMix64
-from oracles import mixed_structures, reference_build_JC, standalone_copy
+from oracles import mixed_structures, reference_build_JC, reference_next_bits, standalone_copy
 from finstruct.verifier import (
     ClassOracle,
     ExpansionSpec,
@@ -773,9 +773,10 @@ def test_check_confusion_refuses_from_the_arguments_before_deciding(monkeypatch,
         check_confusion(d, m, forbh_oracle(FnFamily()), **mode)
 
 
-def test_sample_sweep_draws_each_encoding_as_it_tests_it(monkeypatch):
-    # an oracle that raises on the third coloring stops the sweep there, so
-    # no more than three encodings were drawn
+def test_sample_sweep_draws_one_pass_ahead(monkeypatch):
+    # an oracle that raises on the third coloring stops the sweep there; the
+    # 1000 samples of F_3's 8 spots are 8000 words, but the sweep drew only
+    # the first block of them, one pass of the kernel
     drawn = []
     next_bits = SplitMix64.next_bits
 
@@ -797,8 +798,21 @@ def test_sample_sweep_draws_each_encoding_as_it_tests_it(monkeypatch):
 
     oracle = Counting()
     with pytest.raises(RuntimeError, match="third coloring"):
-        check_confusion(diagram_Fn(3), 2, oracle, mode="sample", samples=10, seed=1)
-    assert 1 <= len(drawn) <= 3
+        check_confusion(diagram_Fn(3), 2, oracle, mode="sample", samples=1000, seed=1)
+    assert drawn == [verifier._PASS // 8 * 8]  # one pass: 512 encodings of 8 words
+
+
+@pytest.mark.parametrize("n_spots", [1, 7, 16, 81, verifier._PASS + 1])
+def test_sample_encodings_are_the_per_draw_stream(n_spots):
+    # encoding j of a block is the j-th next_bits(n_spots), also in shares
+    # that start and end mid-pass
+    take = max(1, verifier._PASS // n_spots)
+    samples = 2 * take + 3
+    stream = SplitMix64(5)
+    encodings = [reference_next_bits(stream, n_spots) for _ in range(samples)]
+    for start, stop in ((0, samples), (1, samples - 1), (take - 1, take + 2), (take + 2, samples)):
+        share = range(start, stop)
+        assert list(verifier._encodings(share, 5, n_spots)) == encodings[start:stop]
 
 
 def test_check_confusion_exhaustive_small_spot_counts():
@@ -838,6 +852,18 @@ def test_check_confusion_reports_failures():
 
 # SHA-256 of the lineq Z2 n=2 sweep's report at m=2, as ``confuse`` prints it
 LINEQ2_REPORT_SHA256 = "4f878a8fbd742b38fe4c7b324a18588ffa605d5d83321e5d7d3696fcb9c3860a"
+# SHA-256 of the report of F_4's sweep at m=2 over 700 samples of seed 3
+# (11,200 words, more than two passes of the kernel), as ``confuse`` prints it
+F4_SAMPLE_REPORT_SHA256 = "bfba422443931e4d6cb75f732e57c9e76d8e7c5ea4c878b25928f89faed3a69c"
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_multi_pass_sample_report_is_pinned(jobs):
+    # under several workers the later shares start mid-pass
+    oracle = forbh_oracle(FnFamily())
+    report = check_confusion(diagram_Fn(4), 2, oracle, mode="sample", samples=700, seed=3, jobs=jobs)
+    text = cli.dump_canonical(report.to_dict())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == F4_SAMPLE_REPORT_SHA256
 
 
 def test_failing_consistency_sweep_runs_one_fixpoint_per_coloring(monkeypatch):
@@ -885,6 +911,21 @@ def test_antichain():
     shapes = TreeShape.all_shapes(4)
     assert len(shapes) == 5
     assert antichain([gen_G(s) for s in shapes])
+
+
+@pytest.mark.parametrize("seed", [0, 9, (1 << 64) - 1])
+def test_random_expansion_draws_each_tuple_in_product_order(seed):
+    # bit i of a predicate's draw decides its i-th candidate tuple, as one
+    # next_bit() per tuple did
+    f3 = gen_Fn(3)
+    for t in range(4):
+        for r in range(1, 4):
+            expansion = random_expansion(f3, ExpansionSpec(t, r, seed))
+            stream = SplitMix64(seed)
+            for j in range(1, t + 1):
+                candidates = product(f3.domain, repeat=(j - 1) % r + 1)
+                chosen = {tup for tup in candidates if stream.next_bit()}
+                assert expansion.relation(f"Q{j}") == chosen
 
 
 def test_random_expansion():
