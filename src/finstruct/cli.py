@@ -103,10 +103,27 @@ def _write(path: str, text: str) -> None:
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """The document at path (``-``: stdin), refused with ``StructureError``
+    unless its bytes are UTF-8 and its strings can be written back as UTF-8.
+
+    Only a ``\\u`` escape can spell a lone surrogate in decoded text, so a
+    document without one is not re-encoded.
+    """
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        text = data.decode("utf-8")
+        doc = json.loads(text)
+        if "\\u" in text:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # bad UTF-8, a surrogate, or a number past the int digit limit
+        raise StructureError(f"unreadable document: {exc}") from None
 
 
 def load_structure(path: str) -> Structure:

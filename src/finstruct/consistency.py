@@ -1,26 +1,33 @@
 """(k,l)-consistency as a greatest-fixpoint computation over partial maps.
 
-The table keeps, for every subset of the instance domain of size at most l,
-the set of surviving assignments into the template.  Starting from all
-partial homomorphisms, assignments are deleted when a restriction dies or
-when a required extension to some superset disappears; the fixpoint family
-is empty exactly when the empty assignment is deleted.  The deletion order
-is deterministic and is kept, 8 bytes per deletion.  When a trace is asked
-for, the fixpoint also records the superset behind each "unsupported"
-death; every other reason is derived from the deletion order, and the
-reasons drive the extraction of a spoiler strategy tree for inconsistent
-instances.
+Two engines compute the same greatest fixpoint.  ``_Fixpoint`` keeps, for
+every subset of the instance domain of size at most l, the set of surviving
+assignments into the template.  Starting from all partial homomorphisms,
+assignments are deleted when a restriction dies or when a required
+extension to some superset disappears; the fixpoint family is empty exactly
+when the empty assignment is deleted.  The deletion order is deterministic
+and is kept, 8 bytes per deletion.  When a trace is asked for, the fixpoint
+also records the superset behind each "unsupported" death; every other
+reason is derived from the deletion order, and the reasons drive the
+extraction of a spoiler strategy tree for inconsistent instances.
+``spoiler_trace``, ``kl_family`` and ``is_consistent`` at l != k + 1 run it.
 
-One memory budget, ``MEMORY_CAP``, bounds what the engine holds: its subset
-index, tables, masks and neighbour lists, counted from the arguments before
-any subset is listed; its deletion log, counted once the tables are built;
-and a trace's nodes, counted as each is made.
+``_KSetFixpoint`` decides ``is_consistent`` at l = k + 1 from the tables of
+at most k elements alone: there a (k+1)-element entry survives iff it is a
+partial homomorphism whose k-element projections survive, so its support
+checks read the k-element tables directly (path consistency at k = 2).
+
+One memory budget, ``MEMORY_CAP``, bounds what either engine holds: its
+subset index, tables, masks and neighbour lists, counted from the arguments
+before any subset is listed (``_Fixpoint`` takes each neighbour list as it
+builds it); its deletion log, counted once the tables are built; and a
+trace's nodes, counted as each is made.
 
 Each subset's surviving assignments are one bit set: an assignment packs
 into an integer with one base-|B| digit per subset position, and is present
 while that bit of the subset's table is set.  Support checks, restriction
 closure and the duplicator's replies in a trace are then ANDs with
-precomputed extension masks.
+precomputed extension masks, or with rows of the k-element tables.
 """
 
 from __future__ import annotations
@@ -34,9 +41,9 @@ from typing import Optional
 from . import morphisms
 from .core import BudgetExceeded, ElementMap, SignatureMismatch, Structure, StructureError
 
-# bytes the (k,l) engine may hold (see ``_Fixpoint._check_memory``): at
-# (2,3) lineq Z3 n=16 counts 213 MiB with its trace and Z5 n=8 158 MiB
-# without one; Z5 n=2 at (2,4) is refused from the arguments
+# bytes a (k,l) engine may hold (see ``_Fixpoint._check_memory``): at (2,3)
+# lineq Z3 n=16 counts 213 MiB with its trace, and Z5 n=8 1.5 MiB without
+# one; Z5 n=2 at (2,4) is refused from the arguments
 MEMORY_CAP = 256 * 2**20
 
 
@@ -109,8 +116,135 @@ def _validate_args(a: Structure, b: Structure, k: int, l: int) -> None:
         raise StructureError("l must be >= k")
 
 
-class _Fixpoint:
-    """Shared machinery for kl_family, is_consistent and spoiler_trace.
+def _int_bytes(bits: int) -> int:
+    """What ``tracemalloc`` counts for an int of that many bits (see
+    ``_Fixpoint._check_memory``)."""
+    return 28 + 4 * (bits // 30)
+
+
+class _Tables:
+    """What both engines build their first tables from.
+
+    An assignment on a sequence of distinct instance elements is packed
+    into an int, one base-|B| digit per position (position r weighs
+    base**r); a table is one int whose bit h is set while packed assignment
+    h is present.  ``_initial_table`` takes the elements in any order, and
+    the digits follow that order.
+    """
+
+    def __init__(self, a: Structure, b: Structure, k: int, l: int):
+        _validate_args(a, b, k, l)
+        self.a = a
+        self.b = b
+        self.k = k
+        self.l = l
+        self.a_ids = a.domain
+        self.b_ids = b.domain
+        self.base = max(len(self.b_ids), 1)
+        self.left = MEMORY_CAP
+        self.mask_memo: dict[tuple[int, tuple[int, ...]], tuple[int, list[int], list[int]]] = {}
+        self.tuple_memo: dict[tuple[str, int, tuple[int, ...]], int] = {}
+
+    def _tuple_mask(self, name: str, size: int, at: tuple[int, ...]) -> int:
+        """Every assignment on a size-element subset that maps the instance
+        tuple at subset positions ``at`` into the template relation ``name``."""
+        key = (name, size, at)
+        found = self.tuple_memo.get(key)
+        if found is None:
+            positions = tuple(sorted(set(at)))
+            free, stems, _ = self._masks(size, positions)
+            found = 0
+            for row in self.b.positions(name):
+                digit = dict(zip(at, row))
+                # a repeated element needs equal template values
+                if all(digit[p] == v for p, v in zip(at, row)):
+                    h = sum(digit[p] * self.base**r for r, p in enumerate(positions))
+                    found |= free << stems[h]
+            self.tuple_memo[key] = found
+        return found
+
+    def _initial_table(self, elems: tuple[int, ...], groups, table: int = -1) -> int:
+        """The assignments of table, by default all of them, on elems that
+        satisfy every instance tuple of ``groups``, lists of (name, element
+        indices), that lies inside elems."""
+        index_of = {e: i for i, e in enumerate(elems)}
+        table &= (1 << len(self.b_ids) ** len(elems)) - 1
+        for group in groups:
+            for name, idx in group:
+                if all(i in index_of for i in idx):
+                    at = tuple(map(index_of.__getitem__, idx))
+                    table &= self._tuple_mask(name, len(elems), at)
+        return table
+
+    def _number_subsets(self, n: int, top: int) -> None:
+        """Number the subsets of at most top of the n elements by size, then
+        lexicographically: ``subset_elems`` and ``subset_id`` map between
+        numbers and sorted element tuples.  A deletion is kept as the key
+        ``s_id * span + h`` with ``span = base**top``, which must fit in a
+        signed 64-bit integer."""
+        self.span = self.base**top
+        if sum(comb(n, size) for size in range(top + 1)) * self.span > 2**63:
+            raise BudgetExceeded("consistency table is too large to number its assignments")
+        self.subset_elems: list[tuple[int, ...]] = []
+        self.subset_id: dict[tuple[int, ...], int] = {}
+        for size in range(top + 1):
+            for elems in combinations(range(n), size):
+                self.subset_id[elems] = len(self.subset_elems)
+                self.subset_elems.append(elems)
+
+    def _spend(self, need: int, what: str) -> None:
+        """Take need bytes from what is left of ``MEMORY_CAP``, or refuse."""
+        self.left -= need
+        if self.left < 0:
+            raise BudgetExceeded(
+                f"the consistency {what} would take the run over "
+                f"its {MEMORY_CAP >> 20} MiB memory cap"
+            )
+
+    def _memo_bytes(self, size: int, placings: int = 1) -> int:
+        """The most ``mask_memo`` and ``tuple_memo`` can hold for
+        size-element subsets (the figures are ``_Fixpoint._check_memory``'s):
+        one mask entry per position pattern, and one tuple mask per distinct
+        placement, of which a relation has at most size**arity, and at most
+        ``placings`` x 2**size per instance tuple."""
+        assignments = self.base**size
+        table = _int_bytes(assignments)
+        position = _int_bytes(assignments.bit_length())
+        need = 0
+        for j in range(size + 1):
+            values = self.base**j
+            proj = 9 + (_int_bytes(values.bit_length()) if values > 257 else 0)
+            pattern = 100 + 96 + 8 * j + 64 + table + 56 + values * (9 + position)
+            need += comb(size, j) * (pattern + 56 + assignments * proj)
+        for name, arity in self.a.signature.symbols:
+            placements = min(size**arity, placings * len(self.a.positions(name)) << size)
+            need += placements * (204 + 8 * arity + table)
+        return need
+
+    def _masks(self, size: int, positions: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
+        """``(free, stems, proj)`` for ascending positions in a size-element
+        subset (see ``_Fixpoint``)."""
+        key = (size, positions)
+        found = self.mask_memo.get(key)
+        if found is None:
+            base = self.base
+            free, stems, proj = 1, [0], [0]
+            for p in range(size):
+                digit = [d * base**p for d in range(base)]
+                if p in positions:
+                    weight = base ** positions.index(p)
+                    stems = [s + v for v in digit for s in stems]
+                    proj = [h + d * weight for d in range(base) for h in proj]
+                else:
+                    free = sum(free << v for v in digit)
+                    proj = [h for _ in digit for h in proj]
+            found = self.mask_memo[key] = (free, stems, proj)
+        return found
+
+
+class _Fixpoint(_Tables):
+    """The (k,l) engine for kl_family, spoiler_trace and is_consistent at
+    l != k + 1.
 
     Subsets of the instance domain with at most l elements are numbered by
     size, then lexicographically; ``subset_elems`` and ``subset_id`` map
@@ -161,16 +295,7 @@ class _Fixpoint:
     """
 
     def __init__(self, a: Structure, b: Structure, k: int, l: int, trace: bool = False):
-        _validate_args(a, b, k, l)
-        self.a = a
-        self.b = b
-        self.k = k
-        self.l = l
-        self.a_ids = a.domain
-        self.b_ids = b.domain
-        self.base = max(len(self.b_ids), 1)
-        self.mask_memo: dict[tuple[int, tuple[int, ...]], tuple[int, list[int], list[int]]] = {}
-        self.tuple_memo: dict[tuple[str, int, tuple[int, ...]], int] = {}
+        super().__init__(a, b, k, l)
         self._constraints()
         self._subsets(trace)
         # the packed keys of the deleted assignments, in deletion order
@@ -189,51 +314,15 @@ class _Fixpoint:
             for idx in self.a.positions(name):
                 self.tuples_by_least[min(idx)].append((name, idx))
 
-    def _tuple_mask(self, name: str, size: int, at: tuple[int, ...]) -> int:
-        """Every assignment on a size-element subset that maps the instance
-        tuple at subset positions ``at`` into the template relation ``name``."""
-        key = (name, size, at)
-        found = self.tuple_memo.get(key)
-        if found is None:
-            positions = tuple(sorted(set(at)))
-            free, stems, _ = self._masks(size, positions)
-            found = 0
-            for row in self.b.positions(name):
-                digit = dict(zip(at, row))
-                # a repeated element needs equal template values
-                if all(digit[p] == v for p, v in zip(at, row)):
-                    h = sum(digit[p] * self.base**r for r, p in enumerate(positions))
-                    found |= free << stems[h]
-            self.tuple_memo[key] = found
-        return found
-
-    def _initial_table(self, elems: tuple[int, ...]) -> int:
-        """The partial homomorphisms on one subset, as a bit set."""
-        index_of = {e: i for i, e in enumerate(elems)}
-        table = (1 << len(self.b_ids) ** len(elems)) - 1
-        for e in elems:
-            for name, idx in self.tuples_by_least[e]:
-                if all(i in index_of for i in idx):
-                    at = tuple(map(index_of.__getitem__, idx))
-                    table &= self._tuple_mask(name, len(elems), at)
-        return table
-
     def _subsets(self, trace: bool) -> None:
         n = len(self.a_ids)
         self.top = min(self.l, n)
-        self.left = MEMORY_CAP
         self._check_memory(n, trace)
-        self.span = self.base**self.top
-        subsets = sum(comb(n, size) for size in range(self.top + 1))
-        if subsets * self.span > 2**63:
-            raise BudgetExceeded("consistency table is too large to number its assignments")
-        self.subset_elems: list[tuple[int, ...]] = []
-        self.subset_id: dict[tuple[int, ...], int] = {}
-        for size in range(self.top + 1):
-            for elems in combinations(range(n), size):
-                self.subset_id[elems] = len(self.subset_elems)
-                self.subset_elems.append(elems)
-        self.table = [self._initial_table(elems) for elems in self.subset_elems]
+        self._number_subsets(n, self.top)
+        by_least = self.tuples_by_least
+        self.table = [
+            self._initial_table(elems, map(by_least.__getitem__, elems)) for elems in self.subset_elems
+        ]
         # each initial entry dies at most once: 8 bytes for its key in
         # ``deaths`` and 1 for its mark, and 1 more for the 1/16 an array
         # over-allocates as it grows; on the trace path every entry below
@@ -244,15 +333,6 @@ class _Fixpoint:
             below = len(self.subset_elems) - comb(n, self.top)
             need += 2 * (100 + 64) * sum(t.bit_count() for t in self.table[:below])
         self._spend(need, "deletion log")
-
-    def _spend(self, need: int, what: str) -> None:
-        """Take need bytes from what is left of ``MEMORY_CAP``, or refuse."""
-        self.left -= need
-        if self.left < 0:
-            raise BudgetExceeded(
-                f"the consistency {what} would take the run over "
-                f"its {MEMORY_CAP >> 20} MiB memory cap"
-            )
 
     def _check_memory(self, n: int, trace: bool) -> None:
         """Count the bytes the run will hold from the arguments alone, and
@@ -282,12 +362,13 @@ class _Fixpoint:
           slot 100 with its id 32, its table slot 9 and its table int(P),
           twice on the trace path, where ``spoiler_trace`` keeps the tables
           from before the fixpoint, with 8 for its slot in that list;
-        - the larger of its ``neighbours`` entry, a slot 8, a 3-tuple 64,
-          its up list 56 + 81 R (a 4-tuple and a slot each) and its
-          down-subset ids 40 + 8 D, and 162 for the initial pass's
+        - its ``neighbours`` slot 8, and 162 for the initial pass's
           superset lists.  The empty subset's list holds every other
           subset at 81 each and is alive with the next one's, which holds
-          fewer; both are gone before ``run`` makes its first entry.
+          fewer.  The ``neighbours`` entry itself, a 3-tuple 64, its up
+          list 56 + 81 R (a 4-tuple and a slot each) and its down-subset
+          ids 40 + 8 D, is taken from the budget by ``run`` when it builds
+          it, at the subset's first pop, as most subsets are never popped.
 
         Then the masks of each size s, over every position pattern of j of
         its positions, with V = base**j values on them:
@@ -310,57 +391,21 @@ class _Fixpoint:
           instance element and a pair and slot 65 per instance tuple.
         """
         base, k, top = self.base, self.k, self.top
-
-        def int_bytes(bits: int) -> int:
-            return 28 + 4 * (bits // 30)
-
         for size in range(top + 1):
-            ups = n - size if size < top else 0
-            downs = sum(comb(size, j) for j in range(min(k, size - 1) + 1))
-            table = int_bytes(base**size)
+            table = _int_bytes(base**size)
             if trace:
                 table = 2 * table + 8
-            lists = max(8 + 64 + 56 + 81 * ups + 40 + 8 * downs, 2 * 81)
-            subset = 40 + 8 * size + 9 + 132 + 9 + table + lists
+            subset = 40 + 8 * size + 9 + 132 + 9 + table + 8 + 2 * 81
             self._spend(comb(n, size) * subset, "subsets and tables")
         tuples = sum(len(self.a.positions(name)) for name in self.a.signature.names)
-        need = 4 * int_bytes(base**top) + 56 * n + 65 * tuples
+        need = 4 * _int_bytes(base**top) + 56 * n + 65 * tuples
         for size in range(top + 1):
-            need += 56 * (size + 5)
-            assignments = base**size
-            table = int_bytes(assignments)
-            position = int_bytes(assignments.bit_length())
-            for j in range(size + 1):
-                values = base**j
-                proj = 9 + (int_bytes(values.bit_length()) if values > 257 else 0)
-                pattern = 100 + 96 + 8 * j + 64 + table + 56 + values * (9 + position)
-                pattern += 56 + assignments * proj
-                if j <= min(k, size - 1):
-                    pattern += 56 + values * (9 + table) + 104 + 8 * j + 9 * (size + 2)
-                need += comb(size, j) * pattern
-            for name, arity in self.a.signature.symbols:
-                placements = min(size**arity, len(self.a.positions(name)) << size)
-                need += placements * (204 + 8 * arity + table)
+            need += 56 * (size + 5) + self._memo_bytes(size)
+            table = _int_bytes(base**size)
+            for j in range(min(k, size - 1) + 1):
+                down = 56 + base**j * (9 + table) + 104 + 8 * j + 9 * (size + 2)
+                need += comb(size, j) * down
         self._spend(need, "masks")
-
-    def _masks(self, size: int, positions: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
-        """``(free, stems, proj)`` for ascending positions in a size-element subset."""
-        key = (size, positions)
-        found = self.mask_memo.get(key)
-        if found is None:
-            base = self.base
-            free, stems, proj = 1, [0], [0]
-            for p in range(size):
-                digit = [d * base**p for d in range(base)]
-                if p in positions:
-                    weight = base ** positions.index(p)
-                    stems = [s + v for v in digit for s in stems]
-                    proj = [h + d * weight for d in range(base) for h in proj]
-                else:
-                    free = sum(free << v for v in digit)
-                    proj = [h for _ in digit for h in proj]
-            found = self.mask_memo[key] = (free, stems, proj)
-        return found
 
     def _supersets(self, x: tuple[int, ...], top: int):
         """``(id, free, stems, i)`` of every superset of x with at most top
@@ -481,6 +526,7 @@ class _Fixpoint:
                 down_ids = tuple(
                     subset_id[tuple(map(y_elems.__getitem__, positions))] for positions in downs
                 )
+                self._spend(64 + 56 + 81 * len(ups) + 40 + 8 * len(downs), "neighbour lists")
                 near = neighbours[y_id] = (ups, down_ids, picks)
             ups, down_ids, picks = near
             # restriction closure: extensions of g on immediate supersets die
@@ -624,6 +670,316 @@ class _Fixpoint:
         return GameTrace(node_for(self.subset_id[()], 0))
 
 
+class _KSetFixpoint(_Tables):
+    """The (k,k+1) engine: ``is_consistent``'s verdict from the tables of at
+    most k elements alone.
+
+    A (k,l)-consistent family holds partial homomorphisms on subsets of at
+    most l elements, is closed under restriction, and extends each of its
+    entries of at most k elements to every superset of at most l elements.
+    The greatest one, G, is the union of all of them (the union of two is
+    one), and the instance is consistent iff G is nonempty.  At l = k + 1:
+
+    - A (k+1)-entry e is in G iff it is a partial homomorphism and each of
+      its k-projections is in G.  Only if: G is closed under restriction.
+      If: G with e added is still closed under restriction (every proper
+      projection of e lies under a k-projection, and G is closed), its other
+      entries keep their extensions, and e needs none; so it is consistent,
+      and e is in G.  Hence g on a k-set X extends to X + z iff some value c
+      is in the row of ``table[Y + z]`` at g|Y for each of the k
+      (k-1)-subsets Y of X, and (g, z->c) satisfies the instance tuples
+      whose elements are exactly X + z: those rows are the k-projections of
+      (g, z->c) other than g, and any other tuple inside X + z lies inside X
+      or inside some Y + z, whose tables hold partial homomorphisms only.
+      That is k + 1 ANDs of |B|-bit ints.
+    - Checking the immediate supersets only gives the same families, so the
+      same greatest one.  A family whose entries of at most k elements
+      extend to every immediate superset of at most k + 1 elements extends
+      them to every such superset Z: supports chain, as adding Z's other
+      elements one at a time extends an entry of fewer than |Z| elements,
+      so of at most k, at each step.  The converse is a special case.
+    - The verdict does not depend on the deletion order, because the
+      greatest fixpoint is unique.  A deletion removes an entry that lacks
+      a restriction or an extension in the current tables, and by induction
+      these contain G, whose entries lack neither; so no entry of G is ever
+      deleted.  When the queue is empty, every entry left has what it needs
+      (below), so what is left is a consistent family containing G: G
+      itself, in any order.  If a table is left empty, G has no entry there,
+      so G's empty assignment lacks an extension to that subset and G is
+      empty: the run stops at once, inconsistent.  Otherwise what is left,
+      with the empty assignment, is nonempty and consistent.
+
+    Every check reads the tables as they are when it runs, and each
+    deletion queues the checks that read the deleted entry: the extensions
+    of (X, g) on immediate supersets die by restriction; each projection of
+    g on an immediate subset is checked for an extension left in X; and at
+    the top size, for each z outside X and each position t of X, the row of
+    the k-set X - x_t + z at z whose other digits are g's is checked against
+    x_t, as its entries and g are k-projections of one (k+1)-entry.  So a
+    check that fails at the end runs after the last deletion it reads, and
+    fails then.  The initial pass checks every entry once, except against a
+    superset X + w whose w shares an instance tuple with no element of X:
+    there every entry g of X extends, by any value v of w's first table, as
+    each tuple inside X + w lies inside X or on w alone, so (g, w->v) is a
+    partial homomorphism and so are its projections.  At the top size,
+    above 1, it also skips a w that shares tuples with one element x of X
+    only: then (g, w->v) is a partial homomorphism iff (g(x), v) is one on
+    {x, w}, so g extends iff x->g(x) does, and if that fails the pass
+    deletes x->g(x), whose deletion deletes g by restriction.  One call of
+    ``kill`` deletes entries that share every digit but p; the first one's
+    pop makes the checks that read only the shared digits, after the whole
+    batch is gone, so the others are marked p to skip them, as
+    ``_Fixpoint.run`` marks its batches.
+
+    Each stored subset of s elements keeps s copies of its table: copy p
+    packs digit p lowest and the others after it in order, so the row of
+    position p at the other digits r is ``copies[s][p] >> base * r & full``.
+    A deletion clears its entry in every copy.  A copy is first built from
+    the copy of the subset without its last digit's element, times that
+    element's table spread to the last digit's weight, then ANDed with the
+    masks of the tuples through that element and another.
+    """
+
+    def __init__(self, a: Structure, b: Structure, k: int):
+        super().__init__(a, b, k, k + 1)
+        n = len(self.a_ids)
+        self.top = top = min(k, n)
+        self._check_memory(n)
+        self._number_subsets(n, top)
+        base, subset_id = self.base, self.subset_id
+        # the instance tuples by their sorted set of distinct elements, and
+        # for each element, the others it shares a tuple with
+        by_set: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {}
+        for name in self.a.signature.names:
+            for idx in self.a.positions(name):
+                by_set.setdefault(tuple(sorted(set(idx))), []).append((name, idx))
+        self.near: list[set[int]] = [set() for _ in range(n)]
+        for elems in by_set:
+            for e in elems:
+                self.near[e].update(elems)
+        singles = [self._initial_table((e,), (by_set.get((e,), ()),)) for e in range(n)]
+        # spread[j][e]: bit b * base**j for each value b of e's first table
+        spread = [[sum(1 << b * base**j for b in _bits(one)) for one in singles] for j in range(top)]
+        self.copies: list[list[int]] = [[]] + [[one] for one in singles]
+        for elems in self.subset_elems[n + 1 :]:
+            size = len(elems)
+            tables = []
+            for p in range(size):
+                order = elems[p : p + 1] + elems[:p] + elems[p + 1 :]
+                # the prefix without the last digit's element is a copy of
+                # the subset without it, at the first digit's position there
+                last = order[-1]
+                prefix = self.copies[subset_id[tuple(sorted(order[:-1]))]][min(p, size - 2)]
+                through = [
+                    by_set.get(tuple(sorted(others + (last,))), ())
+                    for j in range(1, size)
+                    for others in combinations(order[:-1], j)
+                ]
+                table = prefix * spread[size - 1][last]
+                tables.append(self._initial_table(order, through, table) if any(through) else table)
+            self.copies.append(tables)
+        # per subset below the top size, for each element z: the id of the
+        # subset with z inserted and z's position there, or None for z inside
+        self.up = [
+            [None if z in elems else (subset_id[tuple(sorted(elems + (z,)))], bisect(elems, z)) for z in range(n)]
+            for elems in self.subset_elems
+            if len(elems) < top
+        ]
+        # per subset, the ids of the subsets without position t, t ascending
+        self.down = [
+            tuple(subset_id[elems[:t] + elems[t + 1 :]] for t in range(len(elems)))
+            for elems in self.subset_elems
+        ]
+        # the tuples on exactly k + 1 elements: (id of X, z) -> the assignments
+        # of z and X, z's digit lowest, that satisfy those on X + z
+        self.exact: dict[tuple[int, int], int] = {}
+        for elems, tuples in by_set.items():
+            if len(elems) == top + 1:
+                for t, z in enumerate(elems):
+                    x_elems = elems[:t] + elems[t + 1 :]
+                    self.exact[subset_id[x_elems], z] = self._initial_table((z,) + x_elems, (tuples,))
+        # each initial entry dies at most once: 8 bytes for its key and 1 for
+        # its mark, and 1 more for the 1/16 an array over-allocates
+        self._spend(10 * sum(tables[0].bit_count() for tables in self.copies[1:]), "deletion log")
+
+    def _check_memory(self, n: int) -> None:
+        """Count the bytes the run will hold from the arguments alone, and
+        refuse over ``MEMORY_CAP`` before any subset is listed; the figures
+        are those of ``_Fixpoint._check_memory``.
+
+        A subset of size s takes its tuple 40 + 8 s, its ``subset_elems``
+        slot 9, its ``subset_id`` slot 100 with its id 32, its copies, a slot
+        8, a list 56 + 8 s and s ints of base**s bits, and its ``down`` slot
+        8 and tuple 40 + 8 s; below the top size, its ``up`` slot 8 and list
+        56 + 8 n, with a pair 56 for each element outside it.  Then the masks
+        of each size, with s orders of a subset's elements placing a tuple;
+        at the top size plus one, the masks and the ``exact`` tables of the
+        tuples on that many elements, a slot 100, a key 56 and int(base**(s
+        + 1)) for each of their at most s + 1 entries; per element its first
+        table, its spread tables, its ``near`` set and a list slot, 512 +
+        the ints; per instance tuple its ``by_set`` entry, a slot 100, a key
+        40 + 8 r, a list 56 + 9 and a pair 56, and 64 r in ``near`` sets; and
+        last four transient ints of base**(s + 1) bits, the operands and
+        result of the largest AND, shift or product.
+        """
+        base, top = self.base, self.top
+        for size in range(top + 1):
+            tables = 8 + 56 + 8 * size + size * _int_bytes(base**size)
+            subset = 40 + 8 * size + 9 + 132 + tables + 8 + 40 + 8 * size
+            if size < top:
+                subset += 8 + 56 + 8 * n + 56 * (n - size)
+            self._spend(comb(n, size) * subset, "subsets and tables")
+        need = 4 * _int_bytes(base ** (top + 1))
+        need += n * (512 + sum(_int_bytes(base**size) for size in range(top + 1)))
+        wide = 0
+        for name, arity in self.a.signature.symbols:
+            tuples = len(self.a.positions(name))
+            need += tuples * (100 + 40 + 8 * arity + 65 + 56 + 64 * arity)
+            wide += tuples if arity > top else 0
+        need += sum(self._memo_bytes(size, size) for size in range(1, top + 1))
+        if top < n and wide:
+            need += self._memo_bytes(top + 1)
+            need += wide * (top + 1) * (100 + 56 + _int_bytes(base ** (top + 1)))
+        self._spend(need, "masks")
+
+    def run(self) -> bool:
+        """Delete to fixpoint; True iff no table is left empty."""
+        copies, up, down, exact, near = self.copies, self.up, self.down, self.exact, self.near
+        subset_elems, span, base, top = self.subset_elems, self.span, self.base, self.top
+        n = len(self.a_ids)
+        full = (1 << len(self.b_ids)) - 1
+        weight = [base**i for i in range(top + 2)]
+        # the shift that moves digit t into the row index of the subset
+        # without position y, for y != t
+        moves = [[base * weight[t - (t > y)] for y in range(top)] for t in range(top)]
+        deaths = array("q")
+        marks = array("b")
+        if not all(tables[0] for tables in copies[1:]):
+            return False
+
+        def kill(s_id: int, p: int, rest: int, dead: int) -> bool:
+            """Delete the entries of subset s_id with digit p in dead and the
+            others spelling rest; False iff its table is left empty."""
+            tables = copies[s_id]
+            tables[p] ^= dead << base * rest
+            low = rest % weight[p]
+            high = (rest - low) * base
+            mark = -1
+            while dead:
+                bit = dead & -dead
+                dead ^= bit
+                g = low + (bit.bit_length() - 1) * weight[p] + high
+                for q in range(len(tables)):
+                    if q != p:
+                        at = g // weight[q] % base + base * (g % weight[q] + g // weight[q + 1] * weight[q])
+                        tables[q] ^= 1 << at
+                deaths.append(s_id * span + g)
+                marks.append(mark)
+                mark = p
+            return bool(tables[p])
+
+        def check(x_id: int, g: int, t: int, zs) -> bool:
+            """For a top-size X, g on it and each z of zs outside X: delete
+            the values of z in the row of X - x_t + z at g's other digits
+            that no value v of x_t supports; False iff a table is left
+            empty.  Digit t of g is not read."""
+            x_tables = copies[x_id]
+            ups = [up[d] for d in down[x_id]]
+            hs = [g % weight[y] + g // weight[y + 1] * weight[y] for y in range(top)]
+            h = hs[t]
+            values = x_tables[t] >> base * h & full
+            g_t = g // weight[t] % base
+            move = moves[t]
+            # face y's row index at v is shift + v * step
+            others = [(ups[y], base * hs[y] - g_t * move[y], move[y]) for y in range(top) if y != t]
+            faces = ups[t]
+            for z in zs:
+                f_id, q = faces[z]
+                cands = copies[f_id][q] >> base * h & full
+                if not cands:
+                    continue
+                tm = exact.get((x_id, z)) if exact else None
+                allowed = 0
+                rest = values
+                while rest and cands & ~allowed:
+                    bit = rest & -rest
+                    rest ^= bit
+                    v = bit.bit_length() - 1
+                    conj = full if tm is None else tm >> base * (g + (v - g_t) * weight[t]) & full
+                    for face, shift, step in others:
+                        f_y, q_y = face[z]
+                        conj &= copies[f_y][q_y] >> shift + v * step
+                    allowed |= conj
+                dead = cands & ~allowed
+                if dead and not kill(f_id, q, h, dead):
+                    return False
+            return True
+
+        def touching(elems: tuple[int, ...]) -> set[int]:
+            """The elements outside elems that share a tuple with one inside."""
+            return set().union(*(near[e] for e in elems)).difference(elems)
+
+        # the initial pass: every entry below the top size needs an
+        # extension on each immediate superset ...
+        for s_id in range(1, len(up)):
+            faces = [up[s_id][z] for z in touching(subset_elems[s_id])]
+            entries = copies[s_id][0]
+            while entries:
+                bit = entries & -entries
+                entries ^= bit
+                g = bit.bit_length() - 1
+                for w_id, p in faces:
+                    if not copies[w_id][p] >> base * g & full:
+                        if not kill(s_id, 0, g // base, 1 << g % base):
+                            return False
+                        break
+        # ... and every top-size entry on F one on each F + w: F is face t of
+        # X + u, with u its last element and X = F - u + w, checked row by row
+        last = top - 1
+        for f_id in range(len(up), len(copies) if top < n else 0):
+            f_elems = subset_elems[f_id]
+            for w in touching(f_elems):
+                if top > 1 and len(near[w].intersection(f_elems)) < 2:
+                    continue
+                x_id, t = up[down[f_id][last]][w]
+                rows = copies[f_id][last]
+                while rows:
+                    h = ((rows & -rows).bit_length() - 1) // base
+                    rows &= ~(full << base * h)
+                    if not check(x_id, h % weight[t] + h // weight[t] * weight[t + 1], t, f_elems[last:]):
+                        return False
+
+        # array iterators read the current length at every step, so they also
+        # yield the keys and marks appended below: a FIFO queue
+        for key, mark in zip(deaths, marks):
+            s_id, g = divmod(key, span)
+            elems = subset_elems[s_id]
+            size = len(elems)
+            if size < top:
+                # restriction: g's extensions on immediate supersets die
+                for face in up[s_id]:
+                    if face is not None:
+                        dead = copies[face[0]][face[1]] >> base * g & full
+                        if dead and not kill(face[0], face[1], g, dead):
+                            return False
+            if size > 1:
+                # support: g's projections may have lost their last extension
+                tables = copies[s_id]
+                for t, y_id in enumerate(down[s_id]):
+                    if t != mark:
+                        h = g % weight[t] + g // weight[t + 1] * weight[t]
+                        if copies[y_id][0] >> h & 1 and not tables[t] >> base * h & full:
+                            if not kill(y_id, 0, h // base, 1 << h % base):
+                                return False
+            if size == top < n:
+                # the (k+1)-entries through g died with it
+                outside = [z for z in range(n) if z not in elems]
+                for t in range(top):
+                    if t != mark and not check(s_id, g, t, outside):
+                        return False
+        return True
+
+
 def _bits(mask: int):
     """The indices of the set bits of mask, ascending."""
     while mask:
@@ -641,7 +997,13 @@ def kl_family(a: Structure, b: Structure, k: int, l: int) -> Optional[Consistenc
 
 
 def is_consistent(a: Structure, b: Structure, k: int, l: int) -> bool:
-    """True iff a nonempty (k,l)-consistent family on (a, b) exists."""
+    """True iff a nonempty (k,l)-consistent family on (a, b) exists.
+
+    At l = k + 1 the verdict comes from the tables of at most k elements
+    (``_KSetFixpoint``); at any other (k,l) from ``_Fixpoint``.
+    """
+    if l == k + 1:
+        return _KSetFixpoint(a, b, k).run()
     return _Fixpoint(a, b, k, l).run()
 
 

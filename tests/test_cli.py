@@ -473,6 +473,44 @@ def test_malformed_document_exit_2(tmp_path, capsys, command, doc):
     assert "Traceback" not in err
 
 
+def assert_one_error_line(capsys, argv: list[str]) -> None:
+    """The CLI, in this process, exits 2 with one ``error:`` line."""
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+SMALL_DOC = '{"signature": [{"name": "E", "arity": %s}], "domain": [%s], "relations": {}}'
+
+
+def test_non_utf8_document_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes((SMALL_DOC % ("2", '"a"')).encode().replace(b'"a"', b'"a\xff"'))
+    assert_one_error_line(capsys, ["export-dot", str(bad)])
+
+
+def test_number_past_the_int_digit_limit_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(SMALL_DOC % ("1" * 5000, '"a"'))
+    good = tmp_path / "good.json"
+    good.write_text(cli.dump_canonical(cli.structure_to_doc(gen_Fn(2))))
+    assert_one_error_line(capsys, ["hom", "--from", str(bad), "--to", str(good)])
+
+
+def test_lone_surrogate_identifier_exit_2(tmp_path, capsys):
+    # the escape decodes to a string that no UTF-8 writer can write
+    bad, out = tmp_path / "bad.json", tmp_path / "out.dot"
+    bad.write_text(SMALL_DOC % ("2", '"\\ud800"'))
+    assert_one_error_line(capsys, ["export-dot", str(bad), "-o", str(out)])
+    assert not out.exists()
+    # a surrogate pair is one character, and is kept
+    pair = tmp_path / "pair.json"
+    pair.write_text(SMALL_DOC % ("2", '"\\ud83d\\ude00"'))
+    assert cli.main(["export-dot", str(pair), "-o", str(out)]) == 0
+    assert "\U0001f600" in out.read_text(encoding="utf-8")
+
+
 def test_deeply_nested_shape_exit_2(capsys):
     # a valid left comb 3000 levels deep: (((..).)...)
     shape = "(" * 3000 + "." + ".)" * 3000

@@ -33,15 +33,19 @@ from finstruct.consistency import (
 from finstruct.core import ElementMap, Structure, StructureError
 from finstruct.families import (
     AbelianGroup,
+    Coloring,
+    build_JC,
     build_template,
     diagram_lineq,
+    gen_Pn,
     marking,
     template_signature,
     tree_instance,
 )
-from finstruct.morphisms import find_homomorphism
+from finstruct.morphisms import canonical_embeddings, find_homomorphism
 
 Z2 = AbelianGroup([2])
+Z3 = AbelianGroup([3])
 T2 = build_template(Z2)
 
 
@@ -301,6 +305,19 @@ def test_budget_guard(monkeypatch):
         kl_family(lineq_amalgam(4), T2, 2, 3)
 
 
+def test_neighbour_lists_are_counted_as_run_builds_them(monkeypatch):
+    # before the up lists were taken from the budget as ``run`` builds them,
+    # the count from the arguments for this path at (1,3) was 931,908 bytes,
+    # as if every subset would be popped; now it is 583,990
+    monkeypatch.setattr(consistency, "MEMORY_CAP", 750_000)
+    assert not is_consistent(gen_Pn(20), gen_Pn(1), 1, 3)
+    monkeypatch.undo()
+    fix = consistency._Fixpoint(lineq_amalgam(2), T2, 2, 4)
+    built = consistency.MEMORY_CAP - fix.left
+    assert not fix.run()
+    assert consistency.MEMORY_CAP - fix.left > built
+
+
 @pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
 @pytest.mark.parametrize(
     "n, group", [(2, Z2), (4, Z2), (8, Z2), (4, AbelianGroup([3]))], ids=["Z2-2", "Z2-4", "Z2-8", "Z3-4"]
@@ -320,6 +337,48 @@ def test_counted_bytes_bound_the_engine_peak(n, group, trace):
     finally:
         tracemalloc.stop()
     assert consistency.MEMORY_CAP - fix.left >= peak
+
+
+def lineq2_colorings() -> list[Structure]:
+    """The 16 glued J_C of the lineq Z2 n=2 diagram at m=2, 8 of them
+    solvable."""
+    d = diagram_lineq(2, Z2)
+    spots = canonical_embeddings(d.base, 2).members
+    return [build_JC(d, 2, Coloring.from_encoding(spots, enc)) for enc in range(16)]
+
+
+@pytest.mark.parametrize(
+    "instance, group",
+    [(lineq_amalgam(2), Z2), (lineq_amalgam(4), Z2), (lineq_amalgam(8), Z2), (lineq_amalgam(4, Z3), Z3)]
+    + [(jc, Z2) for jc in lineq2_colorings()[:2]],
+    ids=["Z2-2", "Z2-4", "Z2-8", "Z3-4", "JC-0", "JC-1"],
+)
+@pytest.mark.parametrize("k", [2, 3])
+def test_counted_bytes_bound_the_kset_engine_peak(instance, group, k):
+    # the same bound for the (k,k+1) engine: its count from the arguments
+    # and its deletion log's are at least its peak
+    b = build_template(group)
+    is_consistent(instance, b, 1, 2)  # index both structures' relations first
+    tracemalloc.start()
+    try:
+        fix = consistency._KSetFixpoint(instance, b, k)
+        fix.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert consistency.MEMORY_CAP - fix.left >= peak
+
+
+def test_kset_engine_refuses_from_the_arguments(monkeypatch):
+    # the count refuses before any subset is listed, and a (k,k+1) run the
+    # other engine refuses at once is decided within the cap
+    monkeypatch.setattr(consistency, "MEMORY_CAP", 100_000)
+    with pytest.raises(BudgetExceeded, match="subsets"):
+        is_consistent(lineq_amalgam(8), T2, 2, 3)
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceeded):
+        consistency._Fixpoint(lineq_amalgam(8), T2, 4, 5)
+    assert not is_consistent(lineq_amalgam(4), T2, 4, 5)
 
 
 def test_each_count_refuses_where_it_is_made(monkeypatch):
@@ -401,6 +460,83 @@ def test_initial_tables_match_brute_force(instance, template, l):
         for elems, table in zip(fix.subset_elems, fix.table)
     }
     assert got == expected
+
+
+# a batch of restriction deaths whose later members skipped their support
+# checks left an entry of the pair {x1, x6} alive here
+BATCH_CASE = (
+    Structure(MIXED, ["x1", "x4", "x5", "x6"], {"E": [("x5", "x1")], "T": [("x6", "x5", "x4")]}),
+    Structure(
+        MIXED,
+        ["x0", "x1", "x2", "x3"],
+        {
+            "E": [("x0", "x3"), ("x2", "x1"), ("x3", "x2")],
+            "T": [("x0", "x3", "x2"), ("x2", "x0", "x1")],
+        },
+    ),
+    (2, 3),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mixed_structures(), mixed_structures(), st.sampled_from([(1, 2), (2, 3), (3, 4)]))
+@example(*BATCH_CASE)
+def test_kset_engine_matches_fixpoint(instance, template, kl):
+    # a run that ends consistent holds the greatest fixpoint, so the
+    # engines' tables of at most k elements agree too
+    k, l = kl
+    fast, slow = consistency._KSetFixpoint(instance, template, k), consistency._Fixpoint(instance, template, k, l)
+    consistent = fast.run()
+    assert consistent == slow.run()
+    if consistent:
+        assert [tables[0] for tables in fast.copies[1:]] == slow.table[1 : len(fast.copies)]
+
+
+@st.composite
+def planted_z2_instances(draw) -> Structure:
+    """``z2_instances``, half of them cut down to the tuples that one drawn
+    map into T2 preserves, so that those are solvable, hence consistent."""
+    instance = draw(z2_instances())
+    if not draw(st.booleans()):
+        return instance
+    values = st.sampled_from(T2.domain)
+    image = dict(zip(instance.domain, draw(st.lists(values, min_size=4, max_size=4))))
+    relations = {
+        name: [t for t in ts if tuple(map(image.__getitem__, t)) in T2.relation(name)]
+        for name, ts in instance.relations_items()
+    }
+    return Structure(T2.signature, instance.domain, relations)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(planted_z2_instances(), st.sampled_from([(1, 2), (2, 3)]))
+def test_kset_engine_matches_game_oracle(instance, kl):
+    k, l = kl
+    assert consistency._KSetFixpoint(instance, T2, k).run() == game_consistent(instance, T2, k, l)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_kset_engine_on_the_lineq_sweep(k):
+    # the 16 J_C of the lineq Z2 n=2 sweep at m=2: the solvable ones are
+    # consistent, and both engines agree on every one
+    for enc, jc in enumerate(lineq2_colorings()):
+        consistent = consistency._KSetFixpoint(jc, T2, k).run()
+        assert consistent == consistency._Fixpoint(jc, T2, k, k + 1).run()
+        if bin(enc).count("1") % 2 == 0:
+            assert consistent
+    for enc in (0, 1):  # one consistent, one not; the game is slow on 12 elements
+        jc = lineq2_colorings()[enc]
+        assert consistency._KSetFixpoint(jc, T2, 2).run() == game_consistent(jc, T2, 2, 3)
+
+
+@pytest.mark.parametrize("group, n", [(Z2, 2), (Z2, 4), (Z3, 2)], ids=["Z2-2", "Z2-4", "Z3-2"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_kset_engine_on_lineq_amalgams(group, n, k):
+    a, b = lineq_amalgam(n, group), build_template(group)
+    verdict = consistency._KSetFixpoint(a, b, k).run()
+    assert verdict == consistency._Fixpoint(a, b, k, k + 1).run()
+    if n == 2:
+        assert verdict == game_consistent(a, b, k, k + 1)
 
 
 def expand_deaths(fix) -> list[tuple[tuple[int, int], tuple]]:
@@ -486,7 +622,9 @@ def test_verdict_paths_record_no_reasons(monkeypatch):
 
     monkeypatch.setattr(consistency._Fixpoint, "run", run)
     amalgam = lineq_amalgam(2)
-    assert not is_consistent(amalgam, T2, 2, 3)
+    # (2,3) verdicts run on the k-element tables, so the verdict path is
+    # checked at (2,4)
+    assert not is_consistent(amalgam, T2, 2, 4)
     assert kl_family(amalgam, T2, 2, 3) is None
     assert kl_family(marking(tree_instance(2), (0,), Z2), T2, 2, 3) is not None
     assert len(fixpoints) == 3 and all(fix.unsupported is None for fix in fixpoints)

@@ -869,17 +869,19 @@ def test_multi_pass_sample_report_is_pinned(jobs):
 def test_failing_consistency_sweep_runs_one_fixpoint_per_coloring(monkeypatch):
     # a failing coloring's evidence reads the verdict its membership call has
     # just found: one fixpoint for each of the 16 colorings and for each of
-    # the base, the two sides and the free amalgam
-    runs = []
-    real_run = consistency._Fixpoint.run
+    # the base, the two sides and the free amalgam, all on the k-element
+    # tables, as l = k + 1
+    runs = {consistency._Fixpoint: [], consistency._KSetFixpoint: []}
+    for engine, calls in runs.items():
 
-    def run(self):
-        runs.append(self)
-        return real_run(self)
+        def run(self, real_run=engine.run, calls=calls):
+            calls.append(self)
+            return real_run(self)
 
-    monkeypatch.setattr(consistency._Fixpoint, "run", run)
+        monkeypatch.setattr(engine, "run", run)
     report = check_confusion(diagram_lineq(2, Z2), 2, consistency_oracle(T2, 2, 3), jobs=1)
-    assert len(runs) == 20
+    assert len(runs[consistency._KSetFixpoint]) == 20
+    assert runs[consistency._Fixpoint] == []
     text = cli.dump_canonical(report.to_dict())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LINEQ2_REPORT_SHA256
 
