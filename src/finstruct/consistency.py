@@ -6,7 +6,10 @@ assignments into the template.  Starting from all partial homomorphisms,
 assignments are deleted when a restriction dies or when a required
 extension to some superset disappears; the fixpoint family is empty exactly
 when the empty assignment is deleted.  The deletion order is deterministic
-and is kept, 8 bytes per deletion.  When a trace is asked for, the fixpoint
+and is kept in a log that is also the queue: 9 bytes per deletion below the
+top size, and one record per batch of top-size deletions made by one
+restriction step, its first key, a mark and a |B|-bit mask of the values
+the batch takes at one position.  When a trace is asked for, the fixpoint
 also records the superset behind each "unsupported" death; every other
 reason is derived from the deletion order, and the reasons drive the
 extraction of a spoiler strategy tree for inconsistent instances.
@@ -20,8 +23,9 @@ checks read the k-element tables directly (path consistency at k = 2).
 One memory budget, ``MEMORY_CAP``, bounds what either engine holds: its
 subset index, tables, masks and neighbour lists, counted from the arguments
 before any subset is listed (``_Fixpoint`` takes each neighbour list as it
-builds it); its deletion log, counted once the tables are built; and a
-trace's nodes, counted as each is made.
+builds it); its deletion log, counted once the tables are built (``_Fixpoint``
+counts its entries below the top size there, and takes each top-size record
+as it appends it); and a trace's nodes, counted as each is made.
 
 Each subset's surviving assignments are one bit set: an assignment packs
 into an integer with one base-|B| digit per subset position, and is present
@@ -42,8 +46,9 @@ from . import morphisms
 from .core import BudgetExceeded, ElementMap, SignatureMismatch, Structure, StructureError
 
 # bytes a (k,l) engine may hold (see ``_Fixpoint._check_memory``): at (2,3)
-# lineq Z3 n=16 counts 213 MiB with its trace, and Z5 n=8 1.5 MiB without
-# one; Z5 n=2 at (2,4) is refused from the arguments
+# lineq Z3 n=16 counts 107 MiB with its trace, and Z5 n=8 183 MiB with its
+# trace and 1.5 MiB without one; Z5 n=2 at (2,4) is refused from the
+# arguments
 MEMORY_CAP = 256 * 2**20
 
 
@@ -254,15 +259,17 @@ class _Fixpoint(_Tables):
     is set while packed assignment h survives.
 
     ``MEMORY_CAP`` is the one budget, and ``left`` is what is left of it.
-    It is counted in three places: from the arguments, before any subset
-    is listed (``_check_memory``); once, in one compare, right after the
-    tables are built, for the deletion log and the trace path's reason
-    maps; and in ``build_trace``, for each node as it is made.  A deletion
-    is kept as the key ``s_id * span + h`` with ``span = base**top``.  The
-    count bounds both the number of subsets and span by 8 x ``MEMORY_CAP``
-    bits, so every key fits in a signed 64-bit integer; the key check is
-    kept apart so that a larger cap still cannot overflow the deletion
-    array.
+    It is counted in four places: from the arguments, before any subset is
+    listed (``_check_memory``); once, in one compare, right after the
+    tables are built, for the deletion log's entries below the top size
+    and the trace path's reason maps; in ``run``, for each neighbour list
+    and each top-size record as it is made; and in ``build_trace``, for
+    each node as it is made.  A deletion below the top size is logged as
+    the key ``s_id * span + h`` with ``span = base**top``, and a batch of
+    top-size deletions as one record (see ``run``).  The count bounds both
+    the number of subsets and span by 8 x ``MEMORY_CAP`` bits, so every key
+    fits in a signed 64-bit integer; the key check is kept apart so that a
+    larger cap still cannot overflow the deletion array.
 
     ``_masks(size, positions)`` describes a subset X seen through its
     positions inside a size-element subset Y.  The mask of h, every
@@ -298,8 +305,13 @@ class _Fixpoint(_Tables):
         super().__init__(a, b, k, l)
         self._constraints()
         self._subsets(trace)
-        # the packed keys of the deleted assignments, in deletion order
+        # the deletion log, in deletion order: per death below the top size
+        # its packed key and its mark; per top-size batch one record, its
+        # key, its mark and ``width`` bytes of ``batches`` (see ``run``)
         self.deaths = array("q")
+        self.marks = array("b")
+        self.batches = bytearray()
+        self.width = (self.base + 7) // 8
         # the superset Y behind each "unsupported" death; only spoiler_trace
         # reads it, and every other reason follows from ``deaths``
         self.unsupported: Optional[dict[int, int]] = {} if trace else None
@@ -319,20 +331,21 @@ class _Fixpoint(_Tables):
         self.top = min(self.l, n)
         self._check_memory(n, trace)
         self._number_subsets(n, self.top)
+        # subsets are numbered by size, so those from here on have the top size
+        self.first_top = len(self.subset_elems) - comb(n, self.top)
         by_least = self.tuples_by_least
         self.table = [
             self._initial_table(elems, map(by_least.__getitem__, elems)) for elems in self.subset_elems
         ]
-        # each initial entry dies at most once: 8 bytes for its key in
-        # ``deaths`` and 1 for its mark, and 1 more for the 1/16 an array
-        # over-allocates as it grows; on the trace path every entry below
-        # the top size takes at most one ``unsupported`` and one ``when``
-        # slot, each with a 32-byte key and value
-        need = 10 * sum(t.bit_count() for t in self.table)
-        if trace:
-            below = len(self.subset_elems) - comb(n, self.top)
-            need += 2 * (100 + 64) * sum(t.bit_count() for t in self.table[:below])
-        self._spend(need, "deletion log")
+        # each initial entry below the top size dies at most once: 8 bytes
+        # for its key in ``deaths`` and 1 for its mark, and 1 more for the
+        # 1/16 an array over-allocates as it grows; on the trace path each
+        # also takes at most one ``unsupported`` and one ``when`` slot, each
+        # with a 32-byte key and value.  ``run`` takes each top-size record
+        # as it appends it
+        per_entry = 10 + (2 * (100 + 64) if trace else 0)
+        entries = sum(t.bit_count() for t in self.table[: self.first_top])
+        self._spend(per_entry * entries, "deletion log")
 
     def _check_memory(self, n: int, trace: bool) -> None:
         """Count the bytes the run will hold from the arguments alone, and
@@ -369,6 +382,15 @@ class _Fixpoint(_Tables):
           list 56 + 81 R (a 4-tuple and a slot each) and its down-subset
           ids 40 + 8 D, is taken from the budget by ``run`` when it builds
           it, at the subset's first pop, as most subsets are never popped.
+
+        The deletion log is not counted here.  Right after the tables are
+        built, each initial entry below the top size is counted at 10, its
+        key 8 and mark 1 with the 1/16 an array over-allocates, as it dies
+        at most once.  A top-size entry dies only by restriction, in a
+        batch that ``run`` logs as one record, taken from the budget as it
+        is appended: 10 for its key and mark, and w + w / 8, rounded up,
+        for its w-byte mask in ``batches``, a bytearray that over-allocates
+        by 1/8.
 
         Then the masks of each size s, over every position pattern of j of
         its positions, with V = base**j values on them:
@@ -439,8 +461,8 @@ class _Fixpoint(_Tables):
 
         The initial pass deletes every assignment of at most k elements that
         lacks an extension to some superset of at most l elements.  Each
-        deletion appends its key to ``deaths``, which is also the queue: the
-        loop takes each deleted (Y, g) in turn, in deletion order.  g's
+        deletion is logged in ``deaths``, which is also the queue: the loop
+        takes each deleted (Y, g) in turn, in deletion order.  g's
         extensions on the immediate supersets Z of Y die by restriction, and
         each projection h of g onto a subset X of Y with at most k elements
         dies, as unsupported in Y, if it is still alive and has no extension
@@ -470,19 +492,40 @@ class _Fixpoint(_Tables):
           ``table[Z]`` for the rest of the batch.  So a key's mark is i, to
           check only the patterns that contain i, in order; the batch's
           first key and every other death are marked -1, to check all.
+        - One record per top-size batch.  When Z has the top size, the
+          batch is logged as one record: the key ``z_id * span + stems[g]``
+          of its entry with digit i = 0, the mark -2 - i, and the values c
+          its entries take at digit i as one |B|-bit mask of ``width``
+          bytes in ``batches``.  Its keys are key + c * base**i, and
+          ascending c is ascending bit order, so expanding the values in
+          ascending order gives the batch's keys in the order they were
+          logged one by one; they were consecutive in the queue, so popping
+          them where the record stands pops them in the same order; and
+          nothing popped between two of them writes ``table[Z]``, as
+          nothing is popped between them.  The first value runs every down
+          pattern, as mark -1 did, the later ones those that contain i, as
+          mark i did.  A pop of Z has no restriction step, as Z has no
+          superset to restrict to, so a record's pops log only deaths below
+          the top size, in the same order as before, and the run stops as
+          soon as the empty assignment dies, as before: after the down step
+          of the key that killed it, inside a record or not.
         """
         table = self.table
         subset_elems, subset_id = self.subset_elems, self.subset_id
-        span = self.span
-        deaths = self.deaths
+        span, base, top, width = self.span, self.base, self.top, self.width
+        deaths, marks, batches = self.deaths, self.marks, self.batches
         append = deaths.append
         unsupported = self.unsupported
+        weight = [base**i for i in range(top)]
+        # a record's bytes: 10 for its key and mark, as for a death below
+        # the top size, and its mask with the 1/8 a bytearray over-allocates
+        record_bytes = 10 + width + (width + 7) // 8
 
         # initial extension-support pass over assignments of size <= k
         for x_id, x_elems in enumerate(subset_elems):
             if len(x_elems) > self.k:
                 break
-            sups = list(self._supersets(x_elems, self.top))
+            sups = list(self._supersets(x_elems, top))
             for h in _bits(table[x_id]):
                 for y_id, free, stems, _ in sups:
                     if not table[y_id] & free << stems[h]:
@@ -492,13 +535,17 @@ class _Fixpoint(_Tables):
                             unsupported[key] = y_id
                         append(key)
                         break
-        marks = array("b", [-1]) * len(deaths)  # one per key, appended with it
+        marks.extend(repeat(-1, len(deaths)))
+        # subset 0 is the empty one; its table is 1 until the empty
+        # assignment dies, and the run stops as soon as it does
+        if not table[0]:
+            return False
         # per subset size: the positions of its proper subsets of at most k
         # elements; for each, its index, proj and every sub-assignment h's
         # support mask, listed for each position i among the patterns that
         # contain i, and last in full, which mark -1 picks
         checks = []
-        for size in range(self.top + 1):
+        for size in range(top + 1):
             sub_sizes = range(min(self.k, size - 1) + 1)
             downs = [p for sub_size in sub_sizes for p in combinations(range(size), sub_size)]
             full = [
@@ -510,18 +557,17 @@ class _Fixpoint(_Tables):
         # per popped subset: its immediate supersets with their masks, its
         # down-subsets' ids in ``downs`` order, and its size's checks
         neighbours: list[Optional[tuple[list, tuple[int, ...], list]]] = [None] * len(table)
+        first_top = self.first_top
+        at_batch = 0  # where the next record's mask starts in ``batches``
         # array iterators read the current length at every step, so they also
-        # yield the keys and marks appended below: a FIFO queue.  Subset 0 is
-        # the empty one; its table is 1 until the empty assignment dies
+        # yield the keys and marks appended below: a FIFO queue
         for key, at in zip(deaths, marks):
-            if not table[0]:
-                break
             y_id, g = divmod(key, span)
             near = neighbours[y_id]
             if near is None:
                 y_elems = subset_elems[y_id]
                 size = len(y_elems)
-                ups = list(self._supersets(y_elems, size + 1)) if size < self.top else []
+                ups = list(self._supersets(y_elems, size + 1)) if size < top else []
                 downs, picks = checks[size]
                 down_ids = tuple(
                     subset_id[tuple(map(y_elems.__getitem__, positions))] for positions in downs
@@ -531,9 +577,22 @@ class _Fixpoint(_Tables):
             ups, down_ids, picks = near
             # restriction closure: extensions of g on immediate supersets die
             for z_id, free, stems, i in ups:
-                dead = table[z_id] & free << stems[g]
-                if dead:
-                    table[z_id] ^= dead
+                stem = stems[g]
+                dead = table[z_id] & free << stem
+                if not dead:
+                    continue
+                table[z_id] ^= dead
+                if z_id >= first_top:
+                    step, values = weight[i], 0
+                    while dead:
+                        low = dead & -dead
+                        values |= 1 << (low.bit_length() - 1 - stem) // step
+                        dead ^= low
+                    self._spend(record_bytes, "deletion log")
+                    append(z_id * span + stem)
+                    marks.append(-2 - i)
+                    batches += values.to_bytes(width, "little")
+                else:
                     z_key = z_id * span
                     while dead:
                         low = dead & -dead
@@ -541,26 +600,41 @@ class _Fixpoint(_Tables):
                         dead ^= low
                     marks.append(-1)
                     marks.extend(repeat(i, len(deaths) - len(marks)))
+            if at < -1:
+                # a record: its keys are g + c * base**i, c ascending
+                i = -2 - at
+                values = int.from_bytes(batches[at_batch : at_batch + width], "little")
+                at_batch += width
+                step, at = weight[i], -1
+            else:
+                values, step, i = 1, 0, at
             # extension support: small projections of g may have lost their witness
             y_table = table[y_id]
-            for j, proj, supports in picks[at]:
-                h = proj[g]
-                x_id = down_ids[j]
-                if table[x_id] >> h & 1 and not y_table & supports[h]:
-                    table[x_id] ^= 1 << h
-                    key = x_id * span + h
-                    if unsupported is not None:
-                        unsupported[key] = y_id
-                    append(key)
-                    marks.append(-1)
-        return bool(table[0])
+            while values:
+                low = values & -values
+                values ^= low
+                popped = g + (low.bit_length() - 1) * step
+                for j, proj, supports in picks[at]:
+                    h = proj[popped]
+                    x_id = down_ids[j]
+                    if table[x_id] >> h & 1 and not y_table & supports[h]:
+                        table[x_id] ^= 1 << h
+                        key = x_id * span + h
+                        if unsupported is not None:
+                            unsupported[key] = y_id
+                        append(key)
+                        marks.append(-1)
+                if not table[0]:
+                    return False
+                at = i
+        return True
 
     def reasons(self):
         """A function from a deleted (s_id, h) to why it died, as
         ``("unsupported", Y)`` or ``("restriction", Y, g)``; trace path only.
 
         - ``run`` pops in deletion order, so the popped entries are a prefix
-          of ``deaths``.
+          of ``deaths`` with its records expanded.
         - An unsupported death needs a proper superset of at most l
           elements, so it happens only on subsets of at most k elements, and
           each one's Y is recorded in ``unsupported``.
@@ -576,11 +650,13 @@ class _Fixpoint(_Tables):
         A restriction cause is one size smaller than the entry it kills, so
         only the positions of the deaths below the top size are indexed,
         once, and each restriction reason then costs at most l probes.
+        Those are logged one key each, and a record's expansion keeps its
+        place, so their positions in ``deaths`` are in deletion order.
         """
         span, base = self.span, self.base
         subset_elems, subset_id = self.subset_elems, self.subset_id
         unsupported = self.unsupported
-        below_top = (len(subset_elems) - comb(len(self.a_ids), self.top)) * span
+        below_top = self.first_top * span
         when = {key: i for i, key in enumerate(self.deaths) if key < below_top}
 
         def reason(s_id: int, h: int) -> tuple:
@@ -603,20 +679,20 @@ class _Fixpoint(_Tables):
 
     # -- decoding --------------------------------------------------------
 
-    def decode(self, s_id: int, h: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        elems = self.subset_elems[s_id]
+    def decode(self, s_id: int, h: int) -> tuple[str, ...]:
+        """The template values of packed assignment h on subset s_id."""
         base = self.base
         values = []
-        for _ in elems:
+        for _ in self.subset_elems[s_id]:
             values.append(self.b_ids[h % base])
             h //= base
-        return tuple(self.a_ids[e] for e in elems), tuple(values)
+        return tuple(values)
 
     def family(self) -> ConsistencyFamily:
         table: dict[tuple[str, ...], frozenset[tuple[str, ...]]] = {}
         for s_id, elems in enumerate(self.subset_elems):
             key = tuple(self.a_ids[e] for e in elems)
-            table[key] = frozenset(self.decode(s_id, h)[1] for h in _bits(self.table[s_id]))
+            table[key] = frozenset(self.decode(s_id, h) for h in _bits(self.table[s_id]))
         return ConsistencyFamily(self.a, self.b, self.k, self.l, table)
 
     # -- trace extraction --------------------------------------------------
@@ -625,26 +701,37 @@ class _Fixpoint(_Tables):
         """The spoiler strategy read off the deletion reasons; ``initial`` is
         the tables from before ``run``, whose entries are all the replies.
 
+        A subset's name tuple is built once and shared by every node that
+        pebbles or targets it, and a reply is its child's ``values`` tuple.
         Each node is counted against what is left of ``MEMORY_CAP`` as it is
         made: once its replies are known, so its children's frames, still
-        being made, are counted already.  A node takes its slots 72, three
-        name tuples, its ``memo`` slot 100 with its key 32, and 320 for its
+        being made, are counted already.  A node takes its slots 72, its
+        values tuple, its ``memo`` slot 100 with its key 32, and 320 for its
         frame's ``_bits`` generator, reply list and children tuple heads;
-        each reply a pair 56, its values tuple and two slots 17.
+        each reply a pair 56 and two slots 17; and each subset's name tuple,
+        as it is first built, the tuple and a ``names`` slot 100 with its
+        key 32.
         """
         memo: dict[int, TraceNode] = {}
+        names: dict[int, tuple[str, ...]] = {}
         reason_of = self.reasons()
         span = self.span
-        names = 40 + 8 * self.top  # a tuple of at most top names
-        node_bytes = 72 + 3 * names + 132 + 320
-        reply_bytes = 56 + names + 17
+        tuple_bytes = 40 + 8 * self.top  # a tuple of at most top names
+        node_bytes = 72 + tuple_bytes + 132 + 320
+        reply_bytes = 56 + 17
+
+        def names_of(s_id: int) -> tuple[str, ...]:
+            found = names.get(s_id)
+            if found is None:
+                self._spend(132 + tuple_bytes, "trace")
+                found = names[s_id] = tuple(self.a_ids[e] for e in self.subset_elems[s_id])
+            return found
 
         def node_for(s_id: int, h: int) -> TraceNode:
             key = s_id * span + h
             if key in memo:
                 return memo[key]
             reason = reason_of(s_id, h)
-            pebbles, values = self.decode(s_id, h)
             if reason[0] == "unsupported":
                 # the duplicator's replies: every initial assignment on Y extending h
                 y_id = reason[1]
@@ -654,16 +741,15 @@ class _Fixpoint(_Tables):
                 self._spend(node_bytes + replies.bit_count() * reply_bytes, "trace")
                 children = []
                 for g in _bits(replies):
-                    _, g_values = self.decode(y_id, g)
-                    children.append((g_values, node_for(y_id, g)))
-                target = tuple(self.a_ids[e] for e in y_elems)
-                node = TraceNode(pebbles, values, "extend", target, tuple(children))
+                    child = node_for(y_id, g)
+                    children.append((child.values, child))
+                action, target = "extend", names_of(y_id)
             else:  # restriction death: retract to the dead sub-assignment
                 self._spend(node_bytes + reply_bytes, "trace")
-                x_sub_id, h_sub = reason[1], reason[2]
-                sub_pebbles, sub_values = self.decode(x_sub_id, h_sub)
-                child = node_for(x_sub_id, h_sub)
-                node = TraceNode(pebbles, values, "retract", sub_pebbles, ((sub_values, child),))
+                child = node_for(reason[1], reason[2])
+                children = [(child.values, child)]
+                action, target = "retract", child.pebbles
+            node = TraceNode(names_of(s_id), self.decode(s_id, h), action, target, tuple(children))
             memo[key] = node
             return node
 

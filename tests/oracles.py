@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, product
+from typing import Optional
 
 from hypothesis import strategies as st
 
@@ -248,12 +249,13 @@ def plain_supersets(fix, x: tuple[int, ...], top: int) -> list[tuple[int, int, l
     return sorted(found, key=lambda sup: sup[0])
 
 
-def reference_run(self) -> tuple[bool, dict[tuple[int, int], tuple]]:
+def reference_run(self, pops: Optional[list] = None) -> tuple[bool, dict[tuple[int, int], tuple]]:
     """The (k,l) deletion loop in its plain form: every neighbour listed
     again on each pop by ``plain_supersets``, every projection checked on
     each pop, support checked before liveness, one ``delete`` call per
     entry, and every reason recorded.  Returns the verdict and each
-    deleted (s_id, h) with its reason, in deletion order.  ``_Fixpoint.run``
+    deleted (s_id, h) with its reason, in deletion order; each popped
+    (s_id, h) is appended to ``pops`` if it is given.  ``_Fixpoint.run``
     must make the same deletions in the same order, and its derived reasons
     must be these.  ``self`` is a fresh ``_Fixpoint``."""
     table = self.table
@@ -288,6 +290,8 @@ def reference_run(self) -> tuple[bool, dict[tuple[int, int], tuple]]:
     # subset 0 is the empty one; its table is 1 until the empty assignment dies
     while queue and table[0]:
         y_id, g = queue.popleft()
+        if pops is not None:
+            pops.append((y_id, g))
         y_elems = subset_elems[y_id]
         size = len(y_elems)
         # restriction closure: extensions of g on immediate supersets die

@@ -788,3 +788,56 @@ def test_cli_fuzz_mutated_documents(tmp_path_factory, command):
         assert "Traceback" not in err.getvalue() and out.getvalue() == ""
 
     check()
+
+
+def byte_mutations(data: bytes) -> st.SearchStrategy:
+    """A document's bytes cut short, or with a 0xff byte, a run of digits
+    past the int digit limit or a ``\\ud800`` escape inserted anywhere."""
+    offsets = st.integers(0, len(data))
+    pieces = st.one_of(
+        st.just(b"\xff"),
+        st.integers(4290, 4400).map(lambda n: b"7" * n),
+        st.just(b"\\ud800"),
+    )
+    cut = offsets.map(lambda i: data[:i])
+    inserted = st.tuples(offsets, pieces).map(lambda p: data[: p[0]] + p[1] + data[p[0] :])
+    return st.one_of(cut, inserted)
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+def test_cli_fuzz_mutated_bytes(tmp_path_factory, command):
+    # each loading command, reading the mutated bytes from a file and from
+    # stdin, exits 2 with one error line, or gives the exit code and output
+    # it gives on the same document written cleanly
+    doc, template = FUZZ_COMMANDS[command]
+    work = tmp_path_factory.mktemp(command)
+    good, bad, clean = work / "good.json", work / "bad.json", work / "clean.json"
+    good.write_text(cli.dump_canonical(STRUCTURE_DOC))
+    data = cli.dump_canonical(doc).encode("utf-8")
+
+    def run_on(source, stdin: bytes = b"") -> tuple[int, str, str]:
+        argv = template.format(bad=source, good=good, out=work / "out.dot").split()
+        out, err = io.StringIO(), io.StringIO()
+        saved, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin))
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            sys.stdin = saved
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(byte_mutations(data))
+    def check(mutated):
+        bad.write_bytes(mutated)
+        for result in (run_on(bad), run_on("-", mutated)):
+            code, out, err = result
+            if code == 2:
+                assert len(err.splitlines()) == 1 and err.startswith("error:"), (mutated, err)
+                assert out == ""
+            else:
+                assert code in (0, 1) and err == "", (mutated, code, err)
+                clean.write_text(cli.dump_canonical(json.loads(mutated)), encoding="utf-8")
+                assert result == run_on(clean)
+
+    check()

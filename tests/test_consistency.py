@@ -320,11 +320,14 @@ def test_neighbour_lists_are_counted_as_run_builds_them(monkeypatch):
 
 @pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
 @pytest.mark.parametrize(
-    "n, group", [(2, Z2), (4, Z2), (8, Z2), (4, AbelianGroup([3]))], ids=["Z2-2", "Z2-4", "Z2-8", "Z3-4"]
+    "n, group",
+    [(2, Z2), (4, Z2), (8, Z2), (4, Z3), (2, AbelianGroup([2, 2]))],
+    ids=["Z2-2", "Z2-4", "Z2-8", "Z3-4", "Z2xZ2-2"],
 )
 def test_counted_bytes_bound_the_engine_peak(n, group, trace):
-    # the budget's count, from the arguments, the tables and the trace's
-    # nodes, is at least what the engine holds at its peak
+    # the budget's count, from the arguments, the tables, the deletion
+    # log's records and the trace's nodes, is at least what the engine
+    # holds at its peak; Z3 and Z2xZ2 log records of 2 and 3 bytes
     a, b = lineq_amalgam(n, group), build_template(group)
     spoiler_trace(a, b, 2, 3)  # index both structures' relations first
     tracemalloc.start()
@@ -539,17 +542,39 @@ def test_kset_engine_on_lineq_amalgams(group, n, k):
         assert verdict == game_consistent(a, b, k, k + 1)
 
 
+def expand_log(fix) -> list[tuple[int, int]]:
+    """The fixpoint's deletion log as ``[(key, record)]``, one item per
+    deleted entry, in deletion order: each top-size record (mark -2 - i,
+    ``width`` bytes of ``batches`` holding its values c at digit i)
+    expanded to its keys key + c * base**i, c ascending.  ``record`` numbers
+    the records from 0, and is -1 for a death logged as its own key."""
+    out, records = [], 0
+    for key, mark in zip(fix.deaths, fix.marks):
+        if mark < -1:
+            at = records * fix.width
+            values = int.from_bytes(fix.batches[at : at + fix.width], "little")
+            step = fix.base ** (-2 - mark)
+            out += [(key + c * step, records) for c in range(fix.base) if values >> c & 1]
+            records += 1
+        else:
+            out.append((key, -1))
+    assert len(fix.batches) == records * fix.width
+    return out
+
+
 def expand_deaths(fix) -> list[tuple[tuple[int, int], tuple]]:
-    """The fixpoint's death log as ``[((s_id, h), reason)]``, in deletion
+    """The fixpoint's deletions as ``[((s_id, h), reason)]``, in deletion
     order, with the reasons ``_Fixpoint.reasons`` derives."""
     reason = fix.reasons()
-    return [(entry, reason(*entry)) for entry in (divmod(key, fix.span) for key in fix.deaths)]
+    entries = (divmod(key, fix.span) for key, _ in expand_log(fix))
+    return [(entry, reason(*entry)) for entry in entries]
 
 
 def assert_same_deletions(instance: Structure, template: Structure, k: int, l: int) -> None:
     """``_Fixpoint.run`` deletes what the reference loop deletes, in the same
-    order, on the verdict and the trace path; on the trace path the derived
-    reasons are the ones the reference records."""
+    order, on the verdict and the trace path, once its records are expanded;
+    on the trace path the derived reasons are the ones the reference
+    records."""
     for trace in (False, True):
         fast, slow = (consistency._Fixpoint(instance, template, k, l, trace) for _ in range(2))
         consistent, reasons = reference_run(slow)
@@ -558,7 +583,7 @@ def assert_same_deletions(instance: Structure, template: Structure, k: int, l: i
         if trace:
             assert expand_deaths(fast) == list(reasons.items())
         else:
-            assert [divmod(key, fast.span) for key in fast.deaths] == list(reasons)
+            assert [divmod(key, fast.span) for key, _ in expand_log(fast)] == list(reasons)
 
 
 KL_UP_TO_3_4 = [(k, l) for k in range(1, 4) for l in range(k, 5)]
@@ -577,9 +602,41 @@ def test_run_matches_reference_deletions_on_lineq(group, n, kl):
 
 
 # templates of 12 and 20 elements, so restriction batches are wide
-@pytest.mark.parametrize("group, n", [(AbelianGroup([3]), 4), (AbelianGroup([2, 2]), 2)])
+WIDE = {"Z3-4": (AbelianGroup([3]), 4), "Z2xZ2-2": (AbelianGroup([2, 2]), 2)}
+
+
+@pytest.mark.parametrize("group, n", list(WIDE.values()))
 def test_run_matches_reference_deletions_on_wide_lineq_batches(group, n):
     assert_same_deletions(lineq_amalgam(n, group), build_template(group), 2, 3)
+
+
+@pytest.mark.parametrize("name", WIDE)
+def test_wide_batches_log_one_record_each(name):
+    # every top-size batch is one record, so the log holds fewer entries
+    # than the run deletes; a record's mask takes 2 bytes for the
+    # 12-element template and 3 for the 20-element one
+    group, n = WIDE[name]
+    fix = consistency._Fixpoint(lineq_amalgam(n, group), build_template(group), 2, 3)
+    assert not fix.run()
+    assert fix.width == {12: 2, 20: 3}[fix.base] and fix.batches
+    assert len(fix.deaths) == len(fix.marks) < len(expand_log(fix))
+
+
+def test_empty_assignment_dies_inside_a_record():
+    # on the lineq Z2 n=4 amalgam at (2,3) the pop that kills the empty
+    # assignment is a record's, and the record's later keys, deleted with
+    # it, are never popped: the run stops inside the record, where the
+    # reference loop stops
+    a = lineq_amalgam(4)
+    fast, slow = (consistency._Fixpoint(a, T2, 2, 3) for _ in range(2))
+    pops: list[tuple[int, int]] = []
+    assert reference_run(slow, pops)[0] is False
+    assert not fast.run()
+    deleted = expand_log(fast)
+    assert [divmod(key, fast.span) for key, _ in deleted[: len(pops)]] == pops
+    last = deleted[len(pops) - 1][1]
+    assert last >= 0 and deleted[len(pops)][1] == last
+    assert_same_deletions(a, T2, 2, 3)
 
 
 # SHA-256 of the canonical trace documents of the lineq Z2 free amalgams at
@@ -588,6 +645,24 @@ TRACE_SHA256 = {
     2: "37f5a41c35f0a8d9aa8e7f8d0f2fb54abc8530534b8fba4fc069537bb7584215",
     4: "830c1c80e340b4f1f1ce9c91e744204231eea84c46b4c31399fc5875548724f6",
 }
+
+
+# the same for the lineq amalgams over the 12- and 20-element templates, as
+# ``_write_trace`` writes them: their top-size batches are multi-byte records
+WIDE_TRACE_SHA256 = {
+    "Z3-4": "8ad2e470cc850940f69c4af8049a9a5d1981fc54faffdf10f2172ba375e5ce24",
+    "Z2xZ2-2": "2be4035a584f1bb13b1c8157a55a1e686cde1aeb99858bf20dcd22ee670b549b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_TRACE_SHA256))
+def test_wide_trace_bytes_pinned(name):
+    group, n = WIDE[name]
+    a, b = lineq_amalgam(n, group), build_template(group)
+    trace = spoiler_trace(a, b, 2, 3)
+    assert trace is not None
+    digest = hashlib.sha256(_write_trace_text(trace.root).encode("utf-8")).hexdigest()
+    assert digest == WIDE_TRACE_SHA256[name]
 
 
 @pytest.mark.parametrize("n", sorted(TRACE_SHA256))
